@@ -18,7 +18,9 @@ Run:
 Both runs of a pair use the same partition geometry and rebalance
 setting (at one shard they are no-ops), so the gate certifies the tile
 partition and the dynamic rebalancer against the identical oracle the
-strip partition answers to.
+strip partition answers to.  Both also run with ``verify_ghosts``, so
+every window edge cross-checks each ghost replica's position against
+its owner's, in the worker processes too.
 
 This is the script behind CI's blocking ``sharded-equivalence`` job.
 """
@@ -74,7 +76,8 @@ def _timed_run(name: str, *, shards: int, processes: bool, partition: str,
                rebalance: bool) -> tuple[ShardedResult, float]:
     runner = ShardedRunner(SHARDED_SCENARIOS[name], shards,
                            processes=processes, collect_logs=True,
-                           partition=partition, rebalance=rebalance)
+                           verify_ghosts=True, partition=partition,
+                           rebalance=rebalance)
     start = time.perf_counter()
     result = runner.run()
     return result, time.perf_counter() - start

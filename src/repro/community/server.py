@@ -148,8 +148,11 @@ class CommunityService:
         active = self._active_or_none()
         if active is None:
             return protocol.make_response(protocol.NO_MEMBERS_YET)
+        interest = params["interest"]
+        if not isinstance(interest, str):
+            raise TypeError(f"interest must be a string, got {interest!r}")
         members = []
-        if params["interest"] in active.interests:
+        if interest in active.interests:
             members.append({"member_id": active.member_id,
                             "full_name": active.full_name})
         return protocol.make_response(protocol.STATUS_OK, members=members)

@@ -21,14 +21,17 @@ log; ghosts are merely visible.
 Between windows the coordinator calls :meth:`collect_exchange` /
 :meth:`apply_exchange`: devices that walked into another shard's
 territory migrate (their full state moves), and the border ghost set
-is refreshed.  A persisting ghost keeps its *local* replica — by the
-exactness invariant the incoming snapshot is identical, which
-``verify_ghosts=True`` asserts in tests.
+is refreshed.  The exchange is a delta: an exporter ships a full
+snapshot only the first time it exports a ghost to a destination, and
+a ``(device_id, x, y)`` *kept* entry while the destination still holds
+the replica it was sent.  By the exactness invariant that replica is
+bit-identical to the owner's copy, which ``verify_ghosts=True``
+asserts against the kept positions.
 
 Ownership geometry is pluggable (:mod:`repro.shard.partition`): the
-engine only ever asks ``owner_at(x, y)`` and ``ghost_shards(x, y,
-halo)``, so vertical strips and 2D tile grids run through identical
-machinery.  Under a tile partition each exchange also carries
+engine only ever asks ``route(x, y, halo)`` for a device's tile, owner
+and ghost targets, so vertical strips and 2D tile grids run through
+identical machinery.  Under a tile partition each exchange also carries
 per-tile load counters (owned devices weighted by the discovery
 events they fired this window), and the coordinator may hand back a
 rebalanced tile→shard map in ``apply_exchange`` — adopted *after* the
@@ -39,6 +42,7 @@ through the ordinary exchange path one window later.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from repro.mobility.geometry import Rect
@@ -55,6 +59,9 @@ SHARD_TECH = "shardlink"
 
 #: One interaction-log record: (sim time, sorted neighbour ids).
 LogEntry = tuple[float, tuple[str, ...]]
+
+#: A ghost the destination already holds: (device id, x, y).
+KeptGhost = tuple[str, float, float]
 
 
 def shard_technology(radio_range: float) -> Technology:
@@ -119,8 +126,12 @@ class ShardExchange:
 
     #: (destination shard, device state) for devices that changed owner.
     migrations: list[tuple[int, DeviceState]] = field(default_factory=list)
-    #: (destination shard, device state) border exports for ghosting.
-    ghosts: list[tuple[int, DeviceState]] = field(default_factory=list)
+    #: (destination shard, device state) for ghosts this shard did not
+    #: export to that destination at the previous window edge.
+    snapshots: list[tuple[int, DeviceState]] = field(default_factory=list)
+    #: (destination shard, kept ghost) for ghosts the destination
+    #: holds from this shard's previous export.
+    kept: list[tuple[int, KeptGhost]] = field(default_factory=list)
     #: tile index -> load (owned devices weighted by the scan events
     #: they fired this window); empty under a strip partition.
     tile_loads: dict[int, int] = field(default_factory=dict)
@@ -141,10 +152,12 @@ class ShardSim:
 
     def __init__(self, config: ShardConfig, shard_id: int,
                  owned: list[DeviceState],
-                 ghosts: list[DeviceState]) -> None:
+                 ghosts: list[DeviceState],
+                 exported: dict[str, tuple[int, ...]]) -> None:
         self.config = config
         self.shard_id = shard_id
         self.partition = config.partition.build(config.bounds, config.shards)
+        self._tiled = isinstance(self.partition, TilePartition)
         self.env = Environment(seed=config.seed)
         self.world = World(self.env, bounds=config.bounds, tick=config.tick,
                            cell_size=config.radio_range)
@@ -167,6 +180,15 @@ class ShardSim:
         #: ``device_events`` reading at the last exchange — the delta
         #: is the per-window event count the imbalance factor tracks.
         self._events_at_collect = 0
+        #: device id -> the shards this shard shipped it to as a ghost
+        #: at the last window edge (the initial split before the
+        #: first); each of them still holds an exact replica.
+        self._exported = exported
+        #: device id -> (x, y, tile, owner, ghost targets other than
+        #: the owner) as routed at exactly that position under the
+        #: current map; a device that did not move reuses its route.
+        self._routes: dict[
+            str, tuple[float, float, int, int, tuple[int, ...]]] = {}
         self.world.on_moves(self._count_owned_moves)
         with self.world.batch():
             for state in owned:
@@ -185,6 +207,7 @@ class ShardSim:
     def _uninstall(self, device_id: str) -> None:
         self.medium.detach(device_id, SHARD_TECH)
         self.world.remove_node(device_id)
+        self._routes.pop(device_id, None)
 
     def _count_owned_moves(self, report: MovementReport) -> None:
         owned = self.owned
@@ -195,16 +218,31 @@ class ShardSim:
     # -- running -----------------------------------------------------------
 
     def run_window(self, until: float) -> None:
-        """Advance this shard's slice to ``until`` (a window edge)."""
+        """Advance this shard's slice to ``until`` (a window edge).
+
+        Schedules each owned device's scans with ``start < base +
+        phase <= until``.  ``base + phase`` never decreases along the
+        ascending schedule, so a bisection finds the first slot past
+        ``start`` (corrected against the exact sum) and the walk stops
+        at the first slot past ``until``.
+        """
         start = self.env.now
         scan_times = self.config.scan_times
+        slots = len(scan_times)
         call_at = self.env.call_at
+        scan = self._scan
         for device_id, state in self.owned.items():
             phase = state.scan_phase
-            for base in scan_times:
-                when = base + phase
-                if start < when <= until:
-                    call_at(when, self._scan, device_id)
+            index = bisect_right(scan_times, start - phase)
+            while index and scan_times[index - 1] + phase > start:
+                index -= 1
+            while index < slots:
+                when = scan_times[index] + phase
+                if when > until:
+                    break
+                if when > start:
+                    call_at(when, scan, device_id)
+                index += 1
         self.env.run(until=until)
 
     def _scan(self, device_id: str) -> None:
@@ -229,41 +267,62 @@ class ShardSim:
         """Refresh owned state from the world and package border traffic.
 
         Ownership is re-evaluated from each device's exact position
-        (the same pure float function on every shard).  The old owner
-        announces both the migration and the ghost exports for a
-        departing device, so a window edge costs exactly one
-        gather/scatter round through the coordinator.  Under a tile
-        partition the exchange also carries per-tile loads — each
+        (the same pure float function on every shard), through one
+        ``route`` call that a device which did not move skips.  The
+        old owner announces both the migration and the ghost exports
+        for a departing device, so a window edge costs exactly one
+        gather/scatter round through the coordinator.  A ghost export
+        to a shard this one exported the device to at the previous
+        edge is a kept entry; any other is a full snapshot.  Under a
+        tile partition the exchange also carries per-tile loads — each
         owned device contributes ``1 + scan events this window`` to
         the tile it stands in — which feed the coordinator's
         rebalancer.
         """
         exchange = ShardExchange()
-        halo = self.config.halo
-        partition = self.partition
-        owner_at = partition.owner_at
-        ghost_shards = partition.ghost_shards
-        tile_index = (partition.tile_index
-                      if isinstance(partition, TilePartition) else None)
+        migrations = exchange.migrations
+        snapshots = exchange.snapshots
+        kept = exchange.kept
         tile_loads = exchange.tile_loads
+        halo = self.config.halo
+        route = self.partition.route
+        routes = self._routes
+        previous = self._exported
+        exported: dict[str, tuple[int, ...]] = {}
+        tiled = self._tiled
+        shard_id = self.shard_id
         scan_events = self._scan_events
         node = self.world.node
         emigrants: list[str] = []
         for device_id, state in self.owned.items():
             position = node(device_id).position
-            state.x = position.x
-            state.y = position.y
-            new_owner = owner_at(state.x, state.y)
-            if new_owner != self.shard_id:
-                exchange.migrations.append((new_owner, state))
+            x = state.x = position.x
+            y = state.y = position.y
+            memo = routes.get(device_id)
+            if memo is None or memo[0] != x or memo[1] != y:
+                tile, owner, targets = route(x, y, halo)
+                if targets == (owner,):
+                    targets = ()
+                else:
+                    targets = tuple(target for target in targets
+                                    if target != owner)
+                memo = routes[device_id] = (x, y, tile, owner, targets)
+            _, _, tile, owner, targets = memo
+            if owner != shard_id:
+                migrations.append((owner, state))
                 emigrants.append(device_id)
-            for target in ghost_shards(state.x, state.y, halo):
-                if target != new_owner:
-                    exchange.ghosts.append((target, state))
-            if tile_index is not None:
-                tile = tile_index(state.x, state.y)
+            if targets:
+                held = previous.get(device_id, ())
+                for target in targets:
+                    if target in held:
+                        kept.append((target, (device_id, x, y)))
+                    else:
+                        snapshots.append((target, state))
+                exported[device_id] = targets
+            if tiled:
                 tile_loads[tile] = (tile_loads.get(tile, 0) + 1
                                     + scan_events.get(device_id, 0))
+        self._exported = exported
         self._emigrant_ids = emigrants
         self.migrations_out += len(emigrants)
         exchange.window_events = self.device_events - self._events_at_collect
@@ -283,27 +342,36 @@ class ShardSim:
         (``collect_exchange``), where devices standing in reassigned
         tiles migrate through the ordinary exchange path.  Every shard
         adopts the same map at the same window edge, so ownership
-        stays a shard-invariant pure function.
+        stays a shard-invariant pure function.  Routes memoised under
+        the old map are dropped.
         """
         partition = self.partition
         if not isinstance(partition, TilePartition):
             raise ValueError("only tile partitions carry a tile map")
         self.partition = partition.with_map(tile_map)
+        self._routes.clear()
 
     def apply_exchange(self, immigrants: list[DeviceState],
-                       ghost_specs: list[DeviceState],
+                       snapshots: list[DeviceState],
+                       kept: list[KeptGhost],
                        tile_map: tuple[int, ...] | None = None) -> None:
         """Install the coordinator's routed border traffic.
 
-        Removals run before additions so a device converting between
-        owned and ghost (either direction) passes through a clean
-        remove/insert; a *persisting* ghost keeps its live local
-        replica untouched — the incoming snapshot is bit-identical by
-        the exactness invariant.  A non-``None`` ``tile_map`` is
-        adopted *after* the install: the incoming traffic was routed
-        under the old map, and the new one governs the next window.
+        This window's ghosts are the snapshots plus the kept entries;
+        any other ghost is dropped.  Removals run before additions so
+        a device converting between owned and ghost (either direction)
+        passes through a clean remove/insert.  A ghost already held —
+        every kept entry, and a snapshot from an exporter that took
+        over the device — keeps its live local replica untouched: it
+        is bit-identical by the exactness invariant, which
+        ``verify_ghosts`` checks against the exporter's position.  A
+        non-``None`` ``tile_map`` is adopted *after* the install: the
+        incoming traffic was routed under the old map, and the new one
+        governs the next window.
         """
-        fresh_ghost_ids = {state.device_id for state in ghost_specs}
+        fresh_ghost_ids = {state.device_id for state in snapshots}
+        fresh_ghost_ids.update([device_id for device_id, _, _ in kept])
+        verify = self.config.verify_ghosts
         with self.world.batch():
             for device_id in self._emigrant_ids:
                 self._uninstall(device_id)
@@ -315,19 +383,30 @@ class ShardSim:
                 del self.ghosts[device_id]
             for state in immigrants:
                 self._install(state, self.owned)
-            for state in ghost_specs:
-                existing = self.ghosts.get(state.device_id)
-                if existing is None:
+            for state in snapshots:
+                if state.device_id not in self.ghosts:
                     self._install(state, self.ghosts)
-                elif self.config.verify_ghosts:
-                    local = self.world.node(state.device_id).position
-                    if (local.x, local.y) != (state.x, state.y):
-                        raise GhostDivergenceError(
-                            f"ghost {state.device_id!r} in shard "
-                            f"{self.shard_id} at ({local.x!r}, {local.y!r}) "
-                            f"but owner reports ({state.x!r}, {state.y!r})")
+                elif verify:
+                    self._verify_replica(state.device_id, state.x, state.y)
+            if verify:
+                for device_id, x, y in kept:
+                    self._verify_replica(device_id, x, y)
         if tile_map is not None:
             self.adopt_tile_map(tile_map)
+
+    def _verify_replica(self, device_id: str, x: float, y: float) -> None:
+        """Raise unless this shard holds ``device_id`` as a ghost at
+        exactly the exporter's ``(x, y)``."""
+        if device_id not in self.ghosts:
+            raise GhostDivergenceError(
+                f"ghost {device_id!r} kept for shard {self.shard_id}, "
+                f"which holds no replica of it")
+        local = self.world.node(device_id).position
+        if (local.x, local.y) != (x, y):
+            raise GhostDivergenceError(
+                f"ghost {device_id!r} in shard {self.shard_id} at "
+                f"({local.x!r}, {local.y!r}) but owner reports "
+                f"({x!r}, {y!r})")
 
     def __repr__(self) -> str:
         return (f"ShardSim(shard={self.shard_id}/{self.config.shards}, "

@@ -11,6 +11,9 @@ A partition answers two questions for the sharded engine:
   see it interact with an owned device during the next window, so the
   owner exports its state there at the window edge.
 
+The engine asks both questions, plus the tile a device stands in, in
+one ``route(x, y, halo)`` call per owned device per window edge.
+
 Two geometries implement the :class:`Partition` protocol:
 
 * :class:`StripPartition` — equal-width vertical strips.  Ownership is
@@ -126,6 +129,16 @@ class StripPartition:
         """:class:`Partition` ghost routing — the strip interval set."""
         return tuple(self.shards_within(x, halo))
 
+    def route(self, x: float, y: float,
+              halo: float) -> tuple[int, int, tuple[int, ...]]:
+        """``(tile, owner, ghost targets)`` in one call.
+
+        A strip is the tile of a one-row grid, so its index doubles as
+        the tile index (and equals the owner).
+        """
+        owner = self.owner_of(x)
+        return owner, owner, tuple(self.shards_within(x, halo))
+
     def __repr__(self) -> str:
         return (f"StripPartition({self.shards} strips x "
                 f"{self.strip_width:g}m)")
@@ -153,7 +166,7 @@ class TilePartition:
     """
 
     __slots__ = ("bounds", "shards", "tiles_x", "tiles_y", "tile_width",
-                 "tile_height", "tile_map")
+                 "tile_height", "tile_map", "_one_owner")
 
     def __init__(self, bounds: Rect, shards: int,
                  tiles: tuple[int, int],
@@ -180,24 +193,23 @@ class TilePartition:
             raise ValueError(f"tile_map names shards {sorted(set(bad))} "
                              f"outside [0, {shards})")
         self.tile_map = tuple(tile_map)
+        #: Per tile: one shard owns the tile and every grid neighbour,
+        #: so a halo box inside its 3x3 neighbourhood routes nowhere
+        #: else.  Derived from the map, so a new map rebuilds it.
+        self._one_owner = tuple(
+            all(self.tile_map[neighbor] == owner
+                for neighbor in self.tile_neighbors(tile))
+            for tile, owner in enumerate(self.tile_map))
 
     # -- grid arithmetic ---------------------------------------------------
 
     def _column_of(self, x: float) -> int:
-        column = int((x - self.bounds.min_x) // self.tile_width)
-        if column < 0:
-            return 0
-        if column >= self.tiles_x:
-            return self.tiles_x - 1
-        return column
+        return _grid_index(x, self.bounds.min_x, self.tile_width,
+                           self.tiles_x - 1)
 
     def _row_of(self, y: float) -> int:
-        row = int((y - self.bounds.min_y) // self.tile_height)
-        if row < 0:
-            return 0
-        if row >= self.tiles_y:
-            return self.tiles_y - 1
-        return row
+        return _grid_index(y, self.bounds.min_y, self.tile_height,
+                           self.tiles_y - 1)
 
     def tile_index(self, x: float, y: float) -> int:
         """Row-major tile index holding ``(x, y)`` — total and pure."""
@@ -232,10 +244,46 @@ class TilePartition:
         """
         if halo < 0.0:
             raise ValueError(f"halo must be non-negative, got {halo!r}")
-        column_lo = self._column_of(x - halo)
-        column_hi = self._column_of(x + halo)
-        row_lo = self._row_of(y - halo)
-        row_hi = self._row_of(y + halo)
+        return self._box_owners(self._column_of(x - halo),
+                                self._column_of(x + halo),
+                                self._row_of(y - halo),
+                                self._row_of(y + halo))
+
+    def route(self, x: float, y: float,
+              halo: float) -> tuple[int, int, tuple[int, ...]]:
+        """``(tile_index, owner_at, ghost_shards)`` in one pass.
+
+        The halo box's column/row indices go through the same floor
+        arithmetic as :meth:`ghost_shards`.  When they stay inside the
+        tile's 3x3 neighbourhood and one shard owns all of it, the
+        ghost set is the owner alone and the set-and-sort is skipped.
+        """
+        if halo < 0.0:
+            raise ValueError(f"halo must be non-negative, got {halo!r}")
+        min_x = self.bounds.min_x
+        min_y = self.bounds.min_y
+        width = self.tile_width
+        height = self.tile_height
+        last_column = self.tiles_x - 1
+        last_row = self.tiles_y - 1
+        column = _grid_index(x, min_x, width, last_column)
+        row = _grid_index(y, min_y, height, last_row)
+        tile = row * self.tiles_x + column
+        owner = self.tile_map[tile]
+        column_lo = _grid_index(x - halo, min_x, width, last_column)
+        column_hi = _grid_index(x + halo, min_x, width, last_column)
+        row_lo = _grid_index(y - halo, min_y, height, last_row)
+        row_hi = _grid_index(y + halo, min_y, height, last_row)
+        if (self._one_owner[tile] and column - 1 <= column_lo
+                and column_hi <= column + 1 and row - 1 <= row_lo
+                and row_hi <= row + 1):
+            return tile, owner, (owner,)
+        return tile, owner, self._box_owners(column_lo, column_hi,
+                                             row_lo, row_hi)
+
+    def _box_owners(self, column_lo: int, column_hi: int, row_lo: int,
+                    row_hi: int) -> tuple[int, ...]:
+        """Sorted owners of every tile in an index box."""
         tile_map = self.tile_map
         tiles_x = self.tiles_x
         owners = {tile_map[row * tiles_x + column]
@@ -286,6 +334,16 @@ class TilePartition:
         return (f"TilePartition({self.tiles_x}x{self.tiles_y} tiles "
                 f"x {self.tile_width:g}x{self.tile_height:g}m "
                 f"-> {self.shards} shards)")
+
+
+def _grid_index(value: float, origin: float, step: float, last: int) -> int:
+    """Floor index of ``value`` on a grid of ``step``-wide cells from
+    ``origin``, clamped to ``[0, last]`` — the one arithmetic tile
+    ownership and ghost routing share."""
+    index = int((value - origin) // step)
+    if index < 0:
+        return 0
+    return last if index > last else index
 
 
 def default_tile_map(tiles: int, shards: int) -> tuple[int, ...]:

@@ -55,8 +55,8 @@ from repro.radio.medium import Medium
 from repro.shard.balance import REBALANCE_THRESHOLD, rebalance_map
 from repro.shard.devices import (DeviceState, build_clustered_crowd,
                                  build_crowd)
-from repro.shard.engine import (SHARD_TECH, LogEntry, ShardConfig, ShardSim,
-                                shard_technology)
+from repro.shard.engine import (SHARD_TECH, KeptGhost, LogEntry, ShardConfig,
+                                ShardSim, shard_technology)
 from repro.shard.partition import TilePartition, halo_width, spec_for
 from repro.simenv.environment import Environment
 from repro.mobility.world import World
@@ -271,35 +271,48 @@ def _clone(state: DeviceState) -> DeviceState:
     return pickle.loads(pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
 
 
-def _initial_split(config: ShardConfig, devices: list[DeviceState],
-                   ) -> list[tuple[list[DeviceState], list[DeviceState]]]:
-    """Per-shard (owned, ghosts) lists for t=0."""
+#: One shard's start: owned devices, ghost replicas, and the ghost
+#: targets each owned device was exported to (device id -> shards).
+Split = tuple[list[DeviceState], list[DeviceState], dict[str, tuple[int, ...]]]
+
+#: One shard's outgoing traffic: migrations, snapshots, kept ghosts.
+Exports = tuple[list[tuple[int, DeviceState]], list[tuple[int, DeviceState]],
+                list[tuple[int, KeptGhost]]]
+
+#: One shard's incoming traffic: immigrants, snapshots, kept ghosts.
+Bundle = tuple[list[DeviceState], list[DeviceState], list[KeptGhost]]
+
+
+def _initial_split(config: ShardConfig,
+                   devices: list[DeviceState]) -> list[Split]:
+    """Per-shard (owned, ghosts, exported) for t=0."""
     partition = config.partition.build(config.bounds, config.shards)
-    split: list[tuple[list[DeviceState], list[DeviceState]]] = [
-        ([], []) for _ in range(config.shards)]
+    split: list[Split] = [([], [], {}) for _ in range(config.shards)]
     for state in devices:
-        owner = partition.owner_at(state.x, state.y)
+        _, owner, targets = partition.route(state.x, state.y, config.halo)
         split[owner][0].append(state)
-        for target in partition.ghost_shards(state.x, state.y, config.halo):
-            if target != owner:
-                split[target][1].append(_clone(state))
+        ghost_targets = tuple(target for target in targets
+                              if target != owner)
+        if ghost_targets:
+            split[owner][2][state.device_id] = ghost_targets
+        for target in ghost_targets:
+            split[target][1].append(_clone(state))
     return split
 
 
-def _route(exchanges: list[tuple[list[tuple[int, DeviceState]],
-                                 list[tuple[int, DeviceState]]]],
-           shards: int) -> list[tuple[list[DeviceState], list[DeviceState]]]:
+def _route(exchanges: list[Exports], shards: int) -> list[Bundle]:
     """Gather/scatter: bundle every shard's exports per destination."""
-    bundles: list[tuple[list[DeviceState], list[DeviceState]]] = [
-        ([], []) for _ in range(shards)]
-    for migrations, ghosts in exchanges:
+    bundles: list[Bundle] = [([], [], []) for _ in range(shards)]
+    for migrations, snapshots, kept in exchanges:
         for target, state in migrations:
             bundles[target][0].append(state)
-        for target, state in ghosts:
+        for target, state in snapshots:
             bundles[target][1].append(state)
-    for immigrants, ghost_specs in bundles:
+        for target, entry in kept:
+            bundles[target][2].append(entry)
+    for immigrants, arrivals, _ in bundles:
         immigrants.sort(key=lambda state: state.device_id)
-        ghost_specs.sort(key=lambda state: state.device_id)
+        arrivals.sort(key=lambda state: state.device_id)
     return bundles
 
 
@@ -404,12 +417,12 @@ def _worker_report(sim: ShardSim) -> dict:
 
 
 def _shard_worker(conn: Connection, config: ShardConfig, shard_id: int,
-                  owned: list[DeviceState],
-                  ghosts: list[DeviceState]) -> None:
+                  owned: list[DeviceState], ghosts: list[DeviceState],
+                  exported: dict[str, tuple[int, ...]]) -> None:
     """Worker-process entry point: lockstep windows over the pipe."""
     try:
         alloc_before = _alloc_begin() if config.measure_alloc else None
-        sim = ShardSim(config, shard_id, owned, ghosts)
+        sim = ShardSim(config, shard_id, owned, ghosts, exported)
         ghost_peak = len(sim.ghosts)
         boundaries = config.boundaries()
         busy = 0.0
@@ -427,12 +440,12 @@ def _shard_worker(conn: Connection, config: ShardConfig, shard_id: int,
                      "window_events": exchange.window_events,
                      "busy_seconds": busy}
             busy = 0.0
-            conn.send(("exchange", exchange.migrations, exchange.ghosts,
-                       stats))
+            conn.send(("exchange", exchange.migrations, exchange.snapshots,
+                       exchange.kept, stats))
             message = conn.recv()
             if message[0] != "apply":  # pragma: no cover - protocol guard
                 raise RuntimeError(f"unexpected message {message[0]!r}")
-            sim.apply_exchange(message[1], message[2], message[3])
+            sim.apply_exchange(*message[1:])
             ghost_peak = max(ghost_peak, len(sim.ghosts))
         sim.stop()
         report = _worker_report(sim)
@@ -518,14 +531,15 @@ class ShardedRunner:
 
     # -- in-process scheduler ---------------------------------------------
 
-    def _run_inline(self, split, stats: _WindowStats) -> list[dict]:
+    def _run_inline(self, split: list[Split],
+                    stats: _WindowStats) -> list[dict]:
         # In-process shards share one interpreter, so the alloc figures
         # are process-wide (exact for shards=1, joint otherwise); the
         # process scheduler is the genuinely per-shard path.
         alloc_before = (_alloc_begin() if self.config.measure_alloc
                         else None)
-        sims = [ShardSim(self.config, shard_id, owned, ghosts)
-                for shard_id, (owned, ghosts) in enumerate(split)]
+        sims = [ShardSim(self.config, shard_id, *start)
+                for shard_id, start in enumerate(split)]
         ghost_peaks = [len(sim.ghosts) for sim in sims]
         busy = [0.0] * len(sims)
         boundaries = self.config.boundaries()
@@ -547,18 +561,18 @@ class ShardedRunner:
                                     "busy_seconds": busy[sim.shard_id]})
                 # The pickle round-trip mirrors process-mode isolation:
                 # a routed state must never share live objects with the
-                # exporting shard.
+                # exporting shard.  Kept entries are immutable tuples.
                 exchanges.append(
                     ([(target, _clone(state))
                       for target, state in exchange.migrations],
                      [(target, _clone(state))
-                      for target, state in exchange.ghosts]))
+                      for target, state in exchange.snapshots],
+                     exchange.kept))
             busy = [0.0] * len(sims)
             bundles = _route(exchanges, self.shards)
             new_map = stats.window(shard_stats)
-            for sim, (immigrants, ghost_specs) in zip(sims, bundles,
-                                                      strict=True):
-                sim.apply_exchange(immigrants, ghost_specs, new_map)
+            for sim, bundle in zip(sims, bundles, strict=True):
+                sim.apply_exchange(*bundle, new_map)
                 ghost_peaks[sim.shard_id] = max(ghost_peaks[sim.shard_id],
                                                 len(sim.ghosts))
         alloc = _alloc_end(alloc_before) if alloc_before is not None else None
@@ -575,16 +589,17 @@ class ShardedRunner:
 
     # -- process scheduler ------------------------------------------------
 
-    def _run_processes(self, split, stats: _WindowStats) -> list[dict]:
+    def _run_processes(self, split: list[Split],
+                       stats: _WindowStats) -> list[dict]:
         context = get_context("spawn")
         workers = []
         pipes: list[Connection] = []
         try:
-            for shard_id, (owned, ghosts) in enumerate(split):
+            for shard_id, start in enumerate(split):
                 parent_conn, child_conn = context.Pipe(duplex=True)
                 process = context.Process(
                     target=_shard_worker,
-                    args=(child_conn, self.config, shard_id, owned, ghosts),
+                    args=(child_conn, self.config, shard_id, *start),
                     name=f"shard-{shard_id}", daemon=True)
                 process.start()
                 child_conn.close()
@@ -593,13 +608,12 @@ class ShardedRunner:
             boundaries = self.config.boundaries()
             for _ in range(len(boundaries) - 1):
                 exchanges = [self._recv(conn, "exchange") for conn in pipes]
-                bundles = _route([(message[1], message[2])
+                bundles = _route([(message[1], message[2], message[3])
                                   for message in exchanges], self.shards)
-                new_map = stats.window([message[3]
+                new_map = stats.window([message[4]
                                         for message in exchanges])
-                for conn, (immigrants, ghost_specs) in zip(pipes, bundles,
-                                                           strict=True):
-                    conn.send(("apply", immigrants, ghost_specs, new_map))
+                for conn, bundle in zip(pipes, bundles, strict=True):
+                    conn.send(("apply", *bundle, new_map))
             return [self._recv(conn, "report")[1] for conn in pipes]
         finally:
             for conn in pipes:

@@ -5,12 +5,12 @@ from __future__ import annotations
 import string
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.community import protocol
 from repro.community.profile import ProfileStore
-from repro.community.server import CommunityServer
+from repro.community.server import CommunityServer, CommunityService
 from repro.eval.testbed import Testbed
 from repro.mobility import Point
 
@@ -138,6 +138,12 @@ _fuzzed_requests = st.dictionaries(_keys, _values, max_size=6)
 class TestDispatchFuzz:
     @settings(deadline=None, max_examples=150)
     @given(payload=_fuzzed_requests)
+    @example(payload={"op": protocol.PS_GETINTERESTEDMEMBERLIST,
+                      "interest": 0})
+    @example(payload={"op": protocol.PS_GETINTERESTEDMEMBERLIST,
+                      "interest": None})
+    @example(payload={"op": protocol.PS_GETINTERESTEDMEMBERLIST,
+                      "interest": True})
     def test_dispatch_always_returns_a_known_status(self, payload):
         """No request payload may crash the server or produce an
         unknown status — errors become BAD_REQUEST, not exceptions."""
@@ -169,3 +175,15 @@ class TestDispatchFuzz:
                 # transport's BAD_REQUEST too in the full server loop.
                 response = protocol.make_response(protocol.BAD_REQUEST)
         assert protocol.response_status(response) in protocol.ALL_STATUSES
+
+    @pytest.mark.parametrize("interest", [0, None, True])
+    def test_non_string_interest_is_a_bad_request(self, interest):
+        store = ProfileStore()
+        store.create_profile("bob", "bob", "pw", interests=["x"])
+        store.login("bob", "pw")
+        service = CommunityService(store)
+        reply = service.handle_request(
+            {"op": protocol.PS_GETINTERESTEDMEMBERLIST, "interest": interest})
+        assert protocol.response_status(reply) == protocol.BAD_REQUEST
+        assert service.bad_requests == 1
+        assert service.requests_served == 1

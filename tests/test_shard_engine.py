@@ -14,10 +14,10 @@ every single tick, the worst case for the migration/ghost machinery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.mobility.geometry import Point, Rect
@@ -25,6 +25,7 @@ from repro.shard import (ShardWorkload, ShardedRunner, clustered_workload,
                          compare_results, crowd_workload,
                          interaction_digests, reference_run)
 from repro.shard.devices import DeviceState, SeededWalk
+from repro.shard.engine import GhostDivergenceError, ShardSim
 
 #: Shard counts every oracle comparison covers: trivial, even splits
 #: and a count that does not divide the bounds evenly.
@@ -299,3 +300,138 @@ class TestCornerHopper:
         sharded = run_sharded(CORNER, shards, partition="tile")
         assert compare_results(reference, sharded, label_a="reference",
                                label_b=f"corner{shards}") == []
+
+
+# -- the delta ghost exchange -------------------------------------------------
+
+#: A crowd where nothing moves: every border ghost persists from window
+#: to window, the case the kept entries exist for.
+STATIONARY = crowd_workload(24, seed=7, sim_seconds=12.0, walker_fraction=0.0,
+                            scan_interval=2.0, window=1.0)
+
+
+def _spy_handovers(monkeypatch) -> list[str]:
+    """Record every snapshot that arrives for a ghost its destination
+    already holds: the device's exporter changed since the last edge."""
+    handed_over: list[str] = []
+    apply = ShardSim.apply_exchange
+
+    def spy(sim, immigrants, snapshots, kept, tile_map=None):
+        handed_over.extend(state.device_id for state in snapshots
+                           if state.device_id in sim.ghosts)
+        return apply(sim, immigrants, snapshots, kept, tile_map)
+
+    monkeypatch.setattr(ShardSim, "apply_exchange", spy)
+    return handed_over
+
+
+class TestDeltaExchange:
+    @pytest.mark.parametrize("partition", ["strip", "tile"])
+    def test_stationary_crowd_ships_only_kept_entries(self, monkeypatch,
+                                                      partition):
+        """The exporter's record starts from the initial split, so a
+        crowd that never moves ships no snapshot at any window edge."""
+        seen: list[tuple[int, int]] = []
+        collect = ShardSim.collect_exchange
+
+        def spy(sim):
+            exchange = collect(sim)
+            seen.append((len(exchange.snapshots), len(exchange.kept)))
+            return exchange
+
+        monkeypatch.setattr(ShardSim, "collect_exchange", spy)
+        sharded = run_sharded(STATIONARY, 4, partition=partition)
+        assert seen and all(snapshots == 0 for snapshots, _ in seen)
+        assert sum(kept for _, kept in seen) > 0
+        assert compare_results(reference_run(STATIONARY), sharded,
+                               label_a="reference",
+                               label_b=f"stationary-{partition}") == []
+
+    @pytest.mark.parametrize("tamper", ["move", "drop"])
+    def test_diverged_kept_ghost_raises(self, monkeypatch, tamper):
+        """A kept entry vouches for the receiver's live replica, so
+        ``verify_ghosts`` must catch a replica that moved or vanished."""
+        run_window = ShardSim.run_window
+
+        def tampering(sim, until):
+            run_window(sim, until)
+            if sim.shard_id == 1 and until == 1.0:
+                ghost_id = min(sim.ghosts)
+                if tamper == "move":
+                    local = sim.world.node(ghost_id).position
+                    sim.world.move_node(ghost_id,
+                                        Point(local.x + 1.0, local.y))
+                else:
+                    sim._uninstall(ghost_id)
+                    del sim.ghosts[ghost_id]
+
+        monkeypatch.setattr(ShardSim, "run_window", tampering)
+        with pytest.raises(GhostDivergenceError):
+            run_sharded(STATIONARY, 2)
+
+    def test_migrating_exporter_resends_and_matches_reference(
+            self, monkeypatch):
+        """The corner hopper changes owner every window, so its ghosts
+        change exporter; the new exporter's snapshot must land on the
+        replica the destination already holds."""
+        handed_over = _spy_handovers(monkeypatch)
+        sharded = run_sharded(CORNER, 4, partition="tile")
+        assert "hopper" in handed_over
+        assert compare_results(reference_run(CORNER), sharded,
+                               label_a="reference",
+                               label_b="corner-handover") == []
+
+    def test_rebalance_retarget_resends_and_matches_reference(
+            self, monkeypatch):
+        """With nobody moving, every migration is a rebalanced tile
+        changing hands, and every handover snapshot comes from one."""
+        still = clustered_workload(48, seed=13, sim_seconds=12.0,
+                                   clusters=4, center_spread=0.05,
+                                   center_spread_y=0.3, scan_interval=2.0,
+                                   window=1.0, walker_fraction=0.0)
+        handed_over = _spy_handovers(monkeypatch)
+        sharded = run_sharded(still, 4, partition="tile", rebalance=True)
+        assert sharded.tiles_migrated > 0 and sharded.migrations > 0
+        assert handed_over
+        assert compare_results(reference_run(still), sharded,
+                               label_a="reference",
+                               label_b="rebalance-handover") == []
+
+
+# -- scan scheduling -----------------------------------------------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(times=st.lists(st.floats(min_value=0.0, max_value=40.0),
+                      min_size=1, max_size=20, unique=True).map(sorted),
+       phases=st.lists(st.one_of(st.floats(min_value=0.0, max_value=5.0),
+                                 st.sampled_from([0.1, 0.7, 1.0 / 3.0])),
+                       min_size=1, max_size=4),
+       edges=st.lists(st.floats(min_value=0.1, max_value=45.0),
+                      min_size=1, max_size=8, unique=True).map(sorted))
+# 3.2 + 0.7 rounds above 3.9 while 3.9 - 0.7 rounds to 3.2 exactly: the
+# bisection alone would start one slot late and lose that scan.
+@example(times=[1.2, 3.2, 5.2], phases=[0.7], edges=[3.9, 6.0])
+def test_run_window_schedules_exactly_the_slots_in_the_window(times, phases,
+                                                              edges):
+    """``run_window`` pushes the same ``(when, device)`` calls, in the
+    same order, as testing ``start < base + phase <= until`` on every
+    slot of the schedule for every device."""
+    config = replace(ShardedRunner(ORACLE, 1).config, scan_times=tuple(times))
+    devices = [DeviceState(device_id=f"d{index}", x=10.0, y=10.0,
+                           scan_phase=phase)
+               for index, phase in enumerate(phases)]
+    sim = ShardSim(config, 0, devices, [], {})
+    pushed: list[tuple[float, str]] = []
+    sim.env.call_at = lambda when, callback, device_id: pushed.append(
+        (when, device_id))
+    sim.env.run = lambda until: sim.env.clock.advance_to(until)
+    expected = []
+    start = 0.0
+    for until in edges:
+        expected += [(base + device.scan_phase, device.device_id)
+                     for device in devices for base in times
+                     if start < base + device.scan_phase <= until]
+        sim.run_window(until)
+        start = until
+    assert pushed == expected

@@ -13,7 +13,7 @@ never making the spread worse.
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.mobility.geometry import Rect
@@ -252,6 +252,94 @@ class TestTileGhosts:
         partition = _random_tile_partition(tiles, shards, seed)
         ghosts = partition.ghost_shards(x, y, halo)
         assert partition.owner_at(x + dx * halo, y + dy * halo) in ghosts
+
+
+@st.composite
+def route_cases(draw) -> tuple[TilePartition, float, float, float]:
+    """A tile partition under a map installed with ``with_map``, and a
+    point and halo that hit the grid's edge cases.
+
+    Maps are one shard, contiguous blocks or scrambled, each with a few
+    *island* tiles reassigned, so tiles whose 3x3 neighbourhood has one
+    owner sit next to tiles that do not.  Points fall on and just
+    beside the edges and corners near an island, or anywhere including
+    outside the bounds (clamped); halos go up to two tile edges.
+    """
+    tiles_x, tiles_y = draw(st.tuples(st.integers(min_value=1, max_value=8),
+                                      st.integers(min_value=1, max_value=8)))
+    shards = draw(st.integers(min_value=1, max_value=8))
+    count = tiles_x * tiles_y
+    owners = st.integers(min_value=0, max_value=shards - 1)
+    tile_map = list(draw(st.one_of(
+        st.just((0,) * count), st.just(default_tile_map(count, shards)),
+        st.lists(owners, min_size=count, max_size=count))))
+    islands = draw(st.lists(st.integers(0, count - 1), min_size=1,
+                            max_size=3))
+    for tile in islands:
+        tile_map[tile] = draw(owners)
+    partition = TilePartition(BOUNDS, shards, (tiles_x, tiles_y)).with_map(
+        tuple(tile_map))
+    width = partition.tile_width
+    height = partition.tile_height
+    halo = draw(st.one_of(
+        st.floats(min_value=0.0, max_value=150.0,
+                  allow_nan=False, allow_infinity=False),
+        st.sampled_from([width, height, 1.5 * width, 2.0 * height])))
+    row, column = divmod(draw(st.sampled_from(islands)), tiles_x)
+
+    def coordinate(origin: float, step: float, cell: int) -> float:
+        edge = origin + (cell + draw(st.integers(-1, 2))) * step
+        return draw(st.one_of(
+            coords, st.just(edge),
+            st.floats(min_value=-1.0, max_value=1.0).map(
+                lambda share: edge + share * halo)))
+
+    x = coordinate(BOUNDS.min_x, width, column)
+    y = coordinate(BOUNDS.min_y, height, row)
+    return partition, x, y, halo
+
+
+class TestOnePassRoute:
+    """``route`` answers the engine's three questions in one call and
+    must agree with each of the separate ones exactly."""
+
+    @settings(max_examples=500)
+    @given(case=route_cases())
+    # The one-owner shortcut's two ways to go wrong: an island only
+    # diagonally adjacent, and a halo box two columns wide.
+    @example(case=(TilePartition(BOUNDS, 2, (4, 4),
+                                 (0,) * 10 + (1,) + (0,) * 5),
+                   195.0, 195.0, 10.0))
+    @example(case=(TilePartition(BOUNDS, 2, (6, 1), (1,) + (0,) * 5),
+                   140.0, 10.0, 80.0))
+    def test_tile_route_equals_separate_calls(self, case):
+        partition, x, y, halo = case
+        assert partition.route(x, y, halo) == (
+            partition.tile_index(x, y), partition.owner_at(x, y),
+            partition.ghost_shards(x, y, halo))
+
+    @given(shards=st.integers(min_value=1, max_value=9),
+           x=st.one_of(coords, st.integers(-2, 11)),
+           y=coords, edge_halo=st.booleans(),
+           halo=st.floats(min_value=0.0, max_value=200.0,
+                          allow_nan=False, allow_infinity=False))
+    def test_strip_route_equals_separate_calls(self, shards, x, y,
+                                               edge_halo, halo):
+        partition = StripPartition(BOUNDS, shards)
+        if isinstance(x, int):  # a strip-edge coordinate
+            x = BOUNDS.min_x + x * partition.strip_width
+        if edge_halo:
+            halo = partition.strip_width
+        strip = partition.owner_of(x)
+        assert partition.route(x, y, halo) == (
+            strip, partition.owner_at(x, y),
+            partition.ghost_shards(x, y, halo))
+
+    def test_negative_halo_rejected(self):
+        with pytest.raises(ValueError):
+            TilePartition(BOUNDS, 2, (2, 2)).route(10.0, 10.0, -1.0)
+        with pytest.raises(ValueError):
+            StripPartition(BOUNDS, 2).route(10.0, 10.0, -1.0)
 
 
 class TestTileMapsAndPlanning:
