@@ -22,6 +22,15 @@ from __future__ import annotations
 
 from repro.mobility.geometry import Point
 
+#: A disc's cell cover reaches this multiple of the radius.  A point
+#: the float test ``dx*dx + dy*dy <= r*r`` accepts can lie a few
+#: rounding errors past ``center ± r``, and ``center - r`` itself
+#: rounds: around a centre at ``y = 10`` with ``r = 10``, the test
+#: accepts ``y = -5e-324`` although ``10.0 - 10.0`` is ``0.0``, one cell
+#: higher.  The 2**-20 margin covers both wherever coordinates stay
+#: below ~2**33 radii.
+_COVER_MARGIN = 1.0 + 2.0 ** -20
+
 
 class SpatialGrid:
     """Uniform hash grid over the plane with per-cell change epochs.
@@ -125,10 +134,11 @@ class SpatialGrid:
                    radius: float) -> tuple[int, int, int, int]:
         """Inclusive cell-coordinate bounds covering the disc."""
         size = self.cell_size
-        return (int((center.x - radius) // size),
-                int((center.x + radius) // size),
-                int((center.y - radius) // size),
-                int((center.y + radius) // size))
+        reach = radius * _COVER_MARGIN
+        return (int((center.x - reach) // size),
+                int((center.x + reach) // size),
+                int((center.y - reach) // size),
+                int((center.y + reach) // size))
 
     def candidates(self, center: Point, radius: float) -> list[str]:
         """Node ids in every cell the disc's bounding square overlaps.

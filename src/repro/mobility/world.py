@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from collections.abc import Callable, Iterator, Sequence
-from typing import Any
+from collections.abc import Callable, Iterator
 
 from repro.mobility.geometry import Point, Rect, distance
 from repro.mobility.grid import SpatialGrid
@@ -197,14 +196,6 @@ class World:
                     found.append(node)
         found.sort(key=lambda node: node.node_id)
         return found
-
-    def positions_of(self, ids: Sequence[str]) -> tuple[Any, Any]:
-        """Batch positions into float64 ``(xs, ys)`` arrays, ``ids`` order.
-
-        Vector-sweep support (:mod:`repro.radio.sweep`); requires numpy.
-        """
-        from repro.radio import sweep
-        return sweep.positions_array(self._nodes, ids)
 
     def region_stamp(self, node_id: str, radius: float) -> tuple[int, ...]:
         """Change stamp for the disc around ``node_id`` (see grid docs).

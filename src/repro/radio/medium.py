@@ -24,11 +24,14 @@ moves, joins, leaves or toggles an adapter.  Adapter power toggles
 invalidate only the owning device's pairs.  When the world runs
 without a spatial grid (``REPRO_SPATIAL_INDEX=0``) the medium falls
 back to the historical clear-everything listeners.
+
+At crowd scale a local technology's listings come instead from one
+numpy sweep of its whole roster (:mod:`repro.radio.sweep`), kept as one
+record per technology and valid until the topology version moves.
 """
 
 from __future__ import annotations
 
-import os
 from typing import TYPE_CHECKING
 
 from repro.mobility.world import MovementReport, World
@@ -40,25 +43,8 @@ if TYPE_CHECKING:  # pragma: no cover - layering guard (net builds on radio)
 
 #: Same-technology roster size at which a vectorized whole-population
 #: sweep beats per-scan scalar queries.  Below it the numpy dispatch
-#: overhead outweighs the batching win.
+#: overhead outweighs the batching win.  Read when a medium is built.
 VECTOR_SWEEP_MIN_DEVICES = 256
-
-
-def vector_sweep_enabled() -> bool:
-    """Whether new media may use vectorized sweeps (REPRO_VECTOR_SWEEP)."""
-    return (os.environ.get("REPRO_VECTOR_SWEEP", "1") != "0"
-            and _sweep.available())
-
-
-def _vector_sweep_min() -> int:
-    """Roster threshold, overridable for tests (REPRO_VECTOR_SWEEP_MIN)."""
-    raw = os.environ.get("REPRO_VECTOR_SWEEP_MIN")
-    if raw is None:
-        return VECTOR_SWEEP_MIN_DEVICES
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return VECTOR_SWEEP_MIN_DEVICES
 
 
 class NotReachableError(ConnectionError):
@@ -107,6 +93,30 @@ class Adapter:
                 f"{state}, {self.bytes_sent}B)")
 
 
+class _Sweep:
+    """One technology's whole-roster sweep.
+
+    ``ids`` are the swept devices (attached, powered, on the map) in id
+    order, and ``rows`` maps each to its index there; device ``ids[i]``
+    lists ``flat[starts[i]:starts[i + 1]]``.  The listings are valid
+    while the medium's topology version equals ``version``; ``ids`` and
+    ``rows`` while its (roster epoch, population epoch) equals
+    ``roster``, so the next sweep reuses them until then.
+    """
+
+    __slots__ = ("version", "roster", "ids", "rows", "starts", "flat")
+
+    def __init__(self, version: int, roster: tuple[int, int],
+                 ids: list[str], rows: dict[str, int], starts: list[int],
+                 flat: list[str]) -> None:
+        self.version = version
+        self.roster = roster
+        self.ids = ids
+        self.rows = rows
+        self.starts = starts
+        self.flat = flat
+
+
 class Medium:
     """Registry of adapters plus reachability/link-quality queries."""
 
@@ -138,16 +148,12 @@ class Medium:
         #: their key, so the indexes stay bounded by the live pair set.
         self._dist_index: dict[str, set[tuple[str, str]]] = {}
         self._reach_index: dict[str, set[tuple[str, str, str]]] = {}
-        #: (device, tech) -> (listing, stamp).  Scalar entries pair a
+        #: (device, tech) -> (listing, stamp) for the scalar paths: a
         #: materialized listing with the grid region stamp of the radio
         #: disc (local radios) or the (roster epoch, gateway epoch)
-        #: tuple (wide-area).  Vector-sweep entries pair a (start, end)
-        #: span into ``_sweep_flat`` with the topology-version *int* —
-        #: an int never equals a tuple stamp, so entries from one
-        #: regime are always treated as stale by the other.
+        #: tuple (wide-area).
         self._neighbors_cache: dict[tuple[str, str],
-                                    tuple[list[str] | tuple[int, int],
-                                          tuple[int, ...] | int]] = {}
+                                    tuple[list[str], tuple[int, ...]]] = {}
         #: Per-technology roster change counter (attach/detach/power
         #: toggles) — validates wide-area neighbour listings.
         self._tech_epoch: dict[str, int] = {}
@@ -157,18 +163,20 @@ class Medium:
         self._incremental = world.grid is not None
         #: Monotone counter covering *anything* that can change a
         #: neighbour listing: movement, population, adapter power,
-        #: gateways.  Listings computed by a vectorized sweep are
-        #: stamped with it, so validating one costs a single integer
-        #: compare instead of a region-stamp walk.
+        #: gateways.  A sweep record is stamped with it, so validating
+        #: one costs a single integer compare instead of a region-stamp
+        #: walk.
         self._topology_version = 0
-        #: Vectorized sweeps need the grid (for cell geometry) and
-        #: numpy; ``REPRO_VECTOR_SWEEP=0`` forces the scalar path.
-        self._vector = self._incremental and vector_sweep_enabled()
-        self._vector_min = _vector_sweep_min()
-        #: tech -> flat neighbour-id list the sweep entries slice into.
-        self._sweep_flat: dict[str, list[str]] = {}
-        #: tech -> (roster epoch, sorted roster ids) memo for sweeps.
-        self._sorted_roster: dict[str, tuple[int, list[str]]] = {}
+        #: Roster size from which a local technology is swept whole;
+        #: ``None`` when it never is (no numpy, or no grid).
+        self._vector_min: int | None = (
+            VECTOR_SWEEP_MIN_DEVICES
+            if self._incremental and _sweep.available() else None)
+        #: Bumped when the world gains or loses a node; with the
+        #: technology's roster epoch it keys who a sweep covers.
+        self._population_epoch = 0
+        #: tech -> the latest whole-roster sweep of that technology.
+        self._sweeps: dict[str, _Sweep] = {}
         if self._incremental:
             world.on_moves(self._apply_report)
         else:
@@ -200,6 +208,8 @@ class Medium:
         fails its region-stamp check on next read.
         """
         self._topology_version += 1
+        if report.added or report.removed:
+            self._population_epoch += 1
         for node_id in report.changed_ids():
             self._evict_node(node_id)
 
@@ -385,6 +395,15 @@ class Medium:
         gateway bridges them); for local radios it is range-limited.
         Results are sorted for deterministic discovery order.
         """
+        record = self._sweeps.get(technology_name)
+        if record is not None and record.version == self._topology_version:
+            # A current sweep covers every attached, powered, on-map
+            # device of the technology: a version check, a row lookup
+            # and a slice.  A device it skipped gets [] further down.
+            row = record.rows.get(device_id)
+            if row is not None:
+                starts = record.starts
+                return record.flat[starts[row]:starts[row + 1]]
         own = self._adapters.get((device_id, technology_name))
         if own is None or not own._enabled:
             return []
@@ -397,26 +416,15 @@ class Medium:
                      self._gateway_epoch)
         elif device_id not in self._world_nodes:
             return []  # off-map device: nothing in radio range
-        elif (self._vector and len(self._by_technology[technology_name])
+        elif (self._vector_min is not None
+                and len(self._by_technology[technology_name])
                 >= self._vector_min):
-            # Vectorized regime: listings come from whole-population
-            # sweeps stamped with the topology version (a bare int —
-            # never equal to the tuple stamps of the scalar paths, so
-            # regime switches self-invalidate).  A version hit costs
-            # one dict probe and one slice; any topology change bumps
-            # the version and the next read triggers one batched
-            # re-sweep that refreshes everybody.
-            version = self._topology_version
-            entry = self._neighbors_cache.get((device_id, technology_name))
-            if entry is not None and entry[1] == version:
-                span = entry[0]
-                return self._sweep_flat[technology_name][span[0]:span[1]]
-            self._vector_sweep(technology_name, local_range)
-            entry = self._neighbors_cache.get((device_id, technology_name))
-            if entry is None:  # pragma: no cover - guarded above
-                return []
-            span = entry[0]
-            return self._sweep_flat[technology_name][span[0]:span[1]]
+            # Vectorized regime, and no current sweep (see above): the
+            # first read after any topology change re-sweeps everybody.
+            record = self._vector_sweep(technology_name, local_range)
+            row = record.rows[device_id]
+            starts = record.starts
+            return record.flat[starts[row]:starts[row + 1]]
         else:
             stamp = self.world.region_stamp(device_id, local_range)
         key = (device_id, technology_name)
@@ -440,42 +448,34 @@ class Medium:
         self._neighbors_cache[key] = (listing, stamp)
         return list(listing)
 
-    def _vector_sweep(self, technology_name: str, radius: float) -> None:
+    def _vector_sweep(self, technology_name: str, radius: float) -> _Sweep:
         """Recompute every device's listing for one technology at once.
 
-        Populates ``_neighbors_cache`` with ``((start, end), version)``
-        spans into a shared flat neighbour list — the cache shape the
-        scalar path uses, with the span standing in for the listing and
-        the topology version for the region stamp.  Listings are
-        bit-identical to the scalar path's: candidates come from cell
-        bucketing (over-approximate, harmless) and membership from the
-        exact squared-distance comparison ``nodes_within`` applies.
+        Listings are bit-identical to the scalar path's: candidates come
+        from cell bucketing and membership from the exact
+        squared-distance comparison ``nodes_within`` applies.
         """
-        roster_epoch = self._tech_epoch.get(technology_name, 0)
-        memo = self._sorted_roster.get(technology_name)
-        if memo is not None and memo[0] == roster_epoch:
-            roster = memo[1]
-        else:
-            roster = sorted(self._by_technology[technology_name])
-            self._sorted_roster[technology_name] = (roster_epoch, roster)
-        adapters = self._adapters
-        world = self.world
+        roster = (self._tech_epoch.get(technology_name, 0),
+                  self._population_epoch)
         nodes = self._world_nodes
-        ids = [device_id for device_id in roster
-               if adapters[(device_id, technology_name)]._enabled
-               and device_id in nodes]
-        grid = world.grid
-        assert grid is not None  # _vector requires the spatial grid
-        xs, ys = world.positions_of(ids)
-        starts, flat_index = _sweep.sweep_pairs(
-            xs, ys, radius, grid.cell_size)
-        flat = [ids[index] for index in flat_index]
-        self._sweep_flat[technology_name] = flat
-        version = self._topology_version
-        cache = self._neighbors_cache
-        for index, device_id in enumerate(ids):
-            cache[(device_id, technology_name)] = (
-                (starts[index], starts[index + 1]), version)
+        record = self._sweeps.get(technology_name)
+        if record is not None and record.roster == roster:
+            ids, rows = record.ids, record.rows
+        else:
+            adapters = self._adapters
+            attached = sorted(self._by_technology[technology_name])
+            ids = [device_id for device_id in attached
+                   if device_id in nodes
+                   and adapters[(device_id, technology_name)]._enabled]
+            rows = {device_id: row for row, device_id in enumerate(ids)}
+        positions = [nodes[device_id].position for device_id in ids]
+        starts, flat = _sweep.sweep_pairs(
+            [position.x for position in positions],
+            [position.y for position in positions], radius)
+        record = _Sweep(self._topology_version, roster, ids, rows, starts,
+                        _sweep.gather(ids, flat))
+        self._sweeps[technology_name] = record
+        return record
 
     def record_transfer(self, device_id: str, technology_name: str,
                         nbytes: int) -> None:

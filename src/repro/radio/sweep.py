@@ -19,30 +19,43 @@ arithmetic is deterministic elementwise, so the resulting listings are
 ``tests/test_vector_sweep.py`` and the sharded equivalence gate both
 referee this.
 
-The cell bucketing here is only a candidate generator: cell indexes
-are derived with :func:`numpy.floor_divide`, whose rare edge rounding
-may disagree with the grid's ``int(x // size)`` by one cell, so the
-search reach carries one guard ring.  Candidates never affect output
-— the exact distance mask does — so the guard ring costs a little
-masking work and buys unconditional correctness.
+Candidates come from one ring of cells around each device's own cell,
+on a pitch derived from the radius and never below ``radius * (1 +
+2**-20)``.  One ring is provably enough.  :func:`numpy.floor_divide`
+returns the exact floor of the quotient (it goes through ``fmod``, as
+Python's ``//`` does), so two points less than one pitch apart on an
+axis land in cells at most one apart on that axis.  And a pair that
+passes the float mask *is* that close: the rounded ``dx*dx`` cannot
+exceed the rounded sum, so ``|dx|`` is at most ``radius`` times a few
+units of rounding error, far inside the ``2**-20`` margin.  The pitch
+grows past that floor only to keep the cell table small next to the
+population (sparse crowds over large extents).
+
+Each unordered pair is tested once: in cell order, a device meets the
+later devices of its own column of three cells and every device of the
+next column, and a surviving pair is listed in both directions.
+``fl(a - b)`` is ``-fl(b - a)`` exactly, so both directions square to
+the same bits the scalar path compares.
 
 ``numpy`` is an optional dependency: :func:`available` gates every
-caller, and ``REPRO_VECTOR_SWEEP=0`` restores the scalar path even
-when numpy is importable (see :mod:`repro.radio.medium`).
+caller (see :mod:`repro.radio.medium`).
 """
 
 from __future__ import annotations
-
-import math
 
 try:
     import numpy as _np
 except ImportError:  # pragma: no cover - numpy is present in CI
     _np = None  # type: ignore[assignment]
 
-#: Dense cell tables above this size fall back to the (slower but
-#: memory-proportional-to-occupancy) sorted-key path — only reachable
-#: with a degenerate bounds/cell-size ratio.
+#: The pitch floor as a multiple of the radius.  Any margin above the
+#: float mask's rounding error (a few units of 2**-53) keeps one ring
+#: exact; this one leaves seven orders of magnitude to spare.
+_PITCH_MARGIN = 1.0 + 2.0 ** -20
+
+#: Cells the dense table may hold per swept device, and in total.  A
+#: sparse crowd over a large extent doubles the pitch until both hold.
+_CELLS_PER_DEVICE = 64
 _DENSE_CELL_CAP = 1 << 22
 
 
@@ -51,111 +64,107 @@ def available() -> bool:
     return _np is not None
 
 
-def sweep_pairs(xs, ys, radius: float, cell_size: float):
+def _pitch(xs, ys, radius: float) -> float:
+    """Bucketing pitch: the radius floor, doubled while the table of
+    cells (populated extent plus a one-cell margin) is too large."""
+    pitch = radius * _PITCH_MARGIN
+    limit = min(_DENSE_CELL_CAP, _CELLS_PER_DEVICE * xs.shape[0])
+    min_x, max_x = float(xs.min()), float(xs.max())
+    min_y, max_y = float(ys.min()), float(ys.max())
+    while ((max_x // pitch - min_x // pitch + 3)
+           * (max_y // pitch - min_y // pitch + 3) > limit):
+        pitch *= 2.0
+    return pitch
+
+
+def sweep_pairs(xs, ys, radius: float):
     """All-pairs-within-``radius`` listings for one batch of positions.
 
     Args:
-        xs: Device x coordinates, float64, in listing (id-sorted) order.
+        xs: Device x coordinates in listing (id-sorted) order, as a
+            float sequence or float64 array.
         ys: Device y coordinates, same order.
-        radius: Radio range in metres (exact squared-distance cutoff).
-        cell_size: Bucketing pitch for candidate generation; correctness
-            holds for any positive value, speed is best near ``radius``.
+        radius: Radio range in metres (exact squared-distance cutoff),
+            positive.
 
     Returns:
         ``(starts, flat)`` where ``flat[starts[i]:starts[i + 1]]`` holds
         the indices of device ``i``'s in-range neighbours in ascending
-        index order (self excluded).  Both are plain Python lists so
-        callers never box numpy scalars on their hot path.
+        index order (self excluded).  ``starts`` is a list of ``n + 1``
+        ints; ``flat`` is an int64 array, ready to gather ids with.
     """
     if _np is None:  # pragma: no cover - callers gate on available()
         raise RuntimeError("numpy is not available")
+    xs = _np.asarray(xs, dtype=_np.float64)
+    ys = _np.asarray(ys, dtype=_np.float64)
     n = xs.shape[0]
     if n == 0:
-        return [0], []
-    cx = _np.floor_divide(xs, cell_size).astype(_np.int64)
-    cy = _np.floor_divide(ys, cell_size).astype(_np.int64)
-    # +1 guard ring: floor_divide's edge rounding vs the grid's
-    # ``int(x // size)`` can shift a cell index by one.
-    reach = int(math.ceil(radius / cell_size)) + 1
-    span = 2 * reach + 1
-    # Dense cell-occupancy table over the populated bounding box, with
-    # a ``reach``-wide empty margin so every offset lookup stays in
-    # bounds without clipping.  World coordinates are clamped to the
-    # world rect, so the table is small (bounds/cell_size per axis).
+        return [0], _np.empty(0, dtype=_np.int64)
+    pitch = _pitch(xs, ys, radius)
+    cx = _np.floor_divide(xs, pitch).astype(_np.int64)
+    cy = _np.floor_divide(ys, pitch).astype(_np.int64)
+    # Dense cell table over the populated bounding box plus a one-cell
+    # empty margin, so every neighbouring-cell lookup stays in bounds.
     min_cx = int(cx.min())
     min_cy = int(cy.min())
-    ncy = int(cy.max()) - min_cy + 1 + 2 * reach
-    ncx = int(cx.max()) - min_cx + 1 + 2 * reach
-    if ncx * ncy > _DENSE_CELL_CAP:  # pragma: no cover - degenerate geometry
-        raise ValueError(
-            f"cell table {ncx}x{ncy} exceeds the dense sweep cap; "
-            f"disable the vector sweep (REPRO_VECTOR_SWEEP=0)")
-    lin = (cx - (min_cx - reach)) * ncy + (cy - (min_cy - reach))
-    # Stable sort by cell: within a cell, candidates keep ascending
-    # device index, which *is* the scalar path's sorted-id order.
+    ncy = int(cy.max()) - min_cy + 3
+    ncx = int(cx.max()) - min_cx + 3
+    lin = (cx - (min_cx - 1)) * ncy + (cy - (min_cy - 1))
+    # Stable sort by cell: within a cell, devices keep ascending index.
     order = _np.argsort(lin, kind="stable")
-    cell_counts = _np.bincount(lin, minlength=ncx * ncy)
-    cell_starts = _np.empty(ncx * ncy + 1, dtype=_np.int64)
-    cell_starts[0] = 0
-    _np.cumsum(cell_counts, out=cell_starts[1:])
-    # One flat (span^2 * n) target array: every device crossed with
-    # every cell offset, resolved by pure table gathers.
-    deltas = (_np.arange(-reach, reach + 1) * ncy)[:, None] \
-        + _np.arange(-reach, reach + 1)[None, :]
-    targets = (lin[None, :] + deltas.reshape(-1, 1)).ravel()
-    left = cell_starts[targets]
-    counts = cell_starts[targets + 1]
-    counts -= left
-    # Most offset cells are empty (the guard ring especially); dropping
-    # them before the repeat-expansion shrinks its input ~10x.
-    occupied = counts > 0
-    counts = counts[occupied]
-    left = left[occupied]
-    dev_base = _np.tile(_np.arange(n), span * span)[occupied]
-    total = int(counts.sum())
-    if total == 0:
-        return [0] * (n + 1), []
-    dev = _np.repeat(dev_base, counts)
+    cell_starts = _np.zeros(ncx * ncy + 1, dtype=_np.int64)
+    _np.cumsum(_np.bincount(lin, minlength=ncx * ncy), out=cell_starts[1:])
+    # From here on, device k is the k-th in cell order.  Cells (cx, cy-1)
+    # .. (cx, cy+1) are adjacent in ``lin``, so a column of three cells
+    # is one slice of the sorted devices.  Each device takes the rest
+    # of its own column after itself, then the whole next column.
+    lin = lin[order]
+    xs = xs[order]
+    ys = ys[order]
+    ranges = _np.empty((n, 4), dtype=_np.int64)
+    ranges[:, 0] = _np.arange(1, n + 1)
+    ranges[:, 1] = cell_starts[lin + 2]
+    ranges[:, 2] = cell_starts[lin + (ncy - 1)]
+    ranges[:, 3] = cell_starts[lin + (ncy + 2)]
+    left = ranges[:, 0::2].ravel()
+    counts = ranges[:, 1::2].ravel() - left
+    per_device = counts.reshape(n, 2).sum(axis=1)
+    total = int(per_device.sum())
     # Expand each [left_i, left_i + count_i) range into explicit
-    # indexes: a global arange minus each element's start offset in
-    # the output, plus its range start.
-    group_starts = _np.cumsum(counts) - counts
-    pos = (_np.arange(total)
-           - _np.repeat(group_starts, counts)
-           + _np.repeat(left, counts))
-    cand = order[pos]
-    dx = xs[cand] - xs[dev]
-    dy = ys[cand] - ys[dev]
+    # positions: a global arange minus each range's start offset in
+    # the output, plus the range's start.
+    offsets = _np.cumsum(counts)
+    offsets -= counts
+    offsets -= left
+    cand = _np.arange(total)
+    cand -= _np.repeat(offsets, counts)
+    dx = xs[cand] - _np.repeat(xs, per_device)
+    dy = ys[cand] - _np.repeat(ys, per_device)
     d2 = dx * dx
     d2 += dy * dy
     mask = d2 <= radius * radius
-    mask &= cand != dev
-    # Sort surviving pairs device-major with neighbours ascending via
-    # one composite int64 key (cand < n, so the packing is injective
-    # and order-preserving) — cheaper than an indirect lexsort.
-    combo = dev[mask]
-    combo *= n
-    combo += cand[mask]
+    first = order[_np.repeat(_np.arange(n), per_device)[mask]]
+    second = order[cand[mask]]
+    # Both directions of every pair, sorted device-major with
+    # neighbours ascending via one composite int64 key (indexes < n,
+    # so the packing is injective and order-preserving).
+    found = first.shape[0]
+    combo = _np.empty(2 * found, dtype=_np.int64)
+    forward = combo[:found]
+    _np.multiply(first, n, out=forward)
+    forward += second
+    backward = combo[found:]
+    _np.multiply(second, n, out=backward)
+    backward += first
     combo.sort()
-    all_dev = combo // n
-    all_nbr = combo
-    all_nbr %= n
-    counts = _np.bincount(all_dev, minlength=n)
-    starts = _np.empty(n + 1, dtype=_np.int64)
-    starts[0] = 0
-    _np.cumsum(counts, out=starts[1:])
-    return starts.tolist(), all_nbr.tolist()
+    starts = _np.zeros(n + 1, dtype=_np.int64)
+    _np.cumsum(_np.bincount(combo // n, minlength=n), out=starts[1:])
+    combo %= n
+    return starts.tolist(), combo
 
 
-def positions_array(nodes, ids):
-    """Batch node positions into float64 arrays in ``ids`` order."""
+def gather(items: list, indexes) -> list:
+    """``[items[i] for i in indexes]`` as one object-array gather."""
     if _np is None:  # pragma: no cover - callers gate on available()
         raise RuntimeError("numpy is not available")
-    n = len(ids)
-    xs = _np.empty(n, dtype=_np.float64)
-    ys = _np.empty(n, dtype=_np.float64)
-    for index, node_id in enumerate(ids):
-        position = nodes[node_id].position
-        xs[index] = position.x
-        ys[index] = position.y
-    return xs, ys
+    return _np.array(items, dtype=object)[indexes].tolist()

@@ -220,19 +220,24 @@ class ShardSim:
     def run_window(self, until: float) -> None:
         """Advance this shard's slice to ``until`` (a window edge).
 
-        Schedules each owned device's scans with ``start < base +
-        phase <= until``.  ``base + phase`` never decreases along the
-        ascending schedule, so a bisection finds the first slot past
-        ``start`` (corrected against the exact sum) and the walk stops
-        at the first slot past ``until``.
+        Pushes one event per distinct scan instant ``base + phase`` in
+        ``(start, until]``, which scans that instant's devices in
+        owned-dict order, once per slot.  That is exactly how one event
+        per device and slot would fire: pushed back to back here,
+        device by device, nothing could run between them, and a scan
+        schedules and moves nothing.  ``base + phase`` never decreases
+        along the ascending schedule, so per distinct phase a bisection
+        finds the first slot past ``start`` (corrected against the
+        exact sum) and the walk stops at the first slot past ``until``.
         """
         start = self.env.now
         scan_times = self.config.scan_times
         slots = len(scan_times)
-        call_at = self.env.call_at
-        scan = self._scan
-        for device_id, state in self.owned.items():
-            phase = state.scan_phase
+        owned = self.owned
+        phases = {state.scan_phase for state in owned.values()}
+        # phase -> the instants in this window its devices scan at
+        instants_of: dict[float, list[float]] = {}
+        for phase in phases:
             index = bisect_right(scan_times, start - phase)
             while index and scan_times[index - 1] + phase > start:
                 index -= 1
@@ -241,21 +246,38 @@ class ShardSim:
                 if when > until:
                     break
                 if when > start:
-                    call_at(when, scan, device_id)
+                    instants_of.setdefault(phase, []).append(when)
                 index += 1
+        # Walking the owned devices keeps each instant's list in their
+        # order, also where different phases meet at one float instant.
+        scanning: dict[float, list[str]] = {}
+        if instants_of:
+            for device_id, state in owned.items():
+                for when in instants_of.get(state.scan_phase, ()):
+                    scanning.setdefault(when, []).append(device_id)
+        call_at = self.env.call_at
+        for when in sorted(scanning):
+            call_at(when, self._scan_instant, scanning[when])
         self.env.run(until=until)
 
-    def _scan(self, device_id: str) -> None:
-        listing = self.medium.neighbors(device_id, SHARD_TECH)
-        fired = 1 + len(listing)
-        self.device_events += fired
-        self._scan_events[device_id] = (
-            self._scan_events.get(device_id, 0) + fired)
-        if self.config.collect_logs:
-            log = self.logs.get(device_id)
-            if log is None:
-                log = self.logs[device_id] = []
-            log.append((self.env.now, tuple(listing)))
+    def _scan_instant(self, device_ids: list[str]) -> None:
+        """Scan ``device_ids``, in order, at the current instant."""
+        neighbors = self.medium.neighbors
+        scan_events = self._scan_events
+        logs = self.logs if self.config.collect_logs else None
+        now = self.env.now
+        fired_total = 0
+        for device_id in device_ids:
+            listing = neighbors(device_id, SHARD_TECH)
+            fired = 1 + len(listing)
+            fired_total += fired
+            scan_events[device_id] = scan_events.get(device_id, 0) + fired
+            if logs is not None:
+                log = logs.get(device_id)
+                if log is None:
+                    log = logs[device_id] = []
+                log.append((now, tuple(listing)))
+        self.device_events += fired_total
 
     def stop(self) -> None:
         """Stop the world tick timer (ends this shard's busy loop)."""

@@ -412,26 +412,86 @@ class TestDeltaExchange:
 # 3.2 + 0.7 rounds above 3.9 while 3.9 - 0.7 rounds to 3.2 exactly: the
 # bisection alone would start one slot late and lose that scan.
 @example(times=[1.2, 3.2, 5.2], phases=[0.7], edges=[3.9, 6.0])
+# Phases 0.2 and 0.1 meet at 0.1 + 0.2 == 0.2 + 0.1 (and at 0.2), with
+# d1 between d0 and d2 in owned order: the instant's devices must be
+# merged, not concatenated phase by phase.
+@example(times=[0.1, 0.2], phases=[0.2, 0.1, 0.2], edges=[0.5])
+# Every instant a multiple of the 1 s world tick, two on window edges.
+@example(times=[0.5, 1.5], phases=[0.5, 1.5], edges=[1.0, 3.0])
+# Both slots of each device round to 1.0: d0, d0, d1, d1 at one instant.
+@example(times=[0.0, 2.225073858507e-311], phases=[1.0, 1.0], edges=[1.0])
 def test_run_window_schedules_exactly_the_slots_in_the_window(times, phases,
                                                               edges):
-    """``run_window`` pushes the same ``(when, device)`` calls, in the
-    same order, as testing ``start < base + phase <= until`` on every
-    slot of the schedule for every device."""
+    """``run_window`` pushes one event per distinct scan instant, and
+    its device lists, flattened in push order, fire the same ``(when,
+    device)`` scans in the same order as one event per slot and device
+    pushed device by device: every slot with ``start < base + phase <=
+    until``, by time, then by push order."""
     config = replace(ShardedRunner(ORACLE, 1).config, scan_times=tuple(times))
     devices = [DeviceState(device_id=f"d{index}", x=10.0, y=10.0,
                            scan_phase=phase)
                for index, phase in enumerate(phases)]
     sim = ShardSim(config, 0, devices, [], {})
-    pushed: list[tuple[float, str]] = []
-    sim.env.call_at = lambda when, callback, device_id: pushed.append(
-        (when, device_id))
+    pushed: list[tuple[float, list[str]]] = []
+    sim.env.call_at = lambda when, callback, device_ids: pushed.append(
+        (when, list(device_ids)))
     sim.env.run = lambda until: sim.env.clock.advance_to(until)
     expected = []
     start = 0.0
     for until in edges:
-        expected += [(base + device.scan_phase, device.device_id)
-                     for device in devices for base in times
-                     if start < base + device.scan_phase <= until]
+        slots = [(base + device.scan_phase, device.device_id)
+                 for device in devices for base in times
+                 if start < base + device.scan_phase <= until]
+        expected += sorted(slots, key=lambda slot: slot[0])
         sim.run_window(until)
         start = until
-    assert pushed == expected
+    assert [(when, device_id) for when, device_ids in pushed
+            for device_id in device_ids] == expected
+    instants = [when for when, _ in pushed]
+    assert len(set(instants)) == len(instants)
+
+
+@dataclass(frozen=True)
+class PhasedWorkload(ShardWorkload):
+    """A crowd whose devices scan on mixed phases, cycled by index."""
+
+    phases: tuple[float, ...] = (0.0,)
+
+    def build_devices(self) -> list[DeviceState]:
+        devices = super().build_devices()
+        for index, device in enumerate(devices):
+            device.scan_phase = self.phases[index % len(self.phases)]
+        return devices
+
+
+#: On the 1 s schedule (0.5 + k), phases 0, 1 and 2 meet at one instant,
+#: so do 0.25 and 1.25, and 0.1 and 1.1 where their float sums round
+#: alike; no instant lands on a 1 s world tick, where the sharded and
+#: reference event orders are not comparable.
+PHASED = PhasedWorkload(count=24, seed=7, sim_seconds=20.0,
+                        bounds=ORACLE.bounds, walker_fraction=0.5,
+                        scan_interval=1.0, window=2.5,
+                        phases=(0.0, 1.0, 0.25, 1.25, 0.1, 1.1, 2.0))
+
+
+class TestScanInstants:
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_colliding_phases_equal_reference(self, shards):
+        reference = reference_run(PHASED)
+        sharded = run_sharded(PHASED, shards)
+        assert compare_results(reference, sharded, label_a="reference",
+                               label_b=f"phased{shards}") == []
+
+    def test_phases_collide(self):
+        """Guard the guard: several phases must share scan instants
+        and walkers must cross borders, or the case above is vacuous."""
+        devices = PHASED.build_devices()
+        phase_of = {device.device_id: device.scan_phase
+                    for device in devices}
+        phases_at: dict[float, set[float]] = {}
+        for device_id, entries in reference_run(PHASED).logs.items():
+            for when, _ in entries:
+                phases_at.setdefault(when, set()).add(phase_of[device_id])
+        assert sum(len(phases) > 1 for phases in phases_at.values()) > 10
+        assert all(when != int(when) for when in phases_at)
+        assert run_sharded(PHASED, 4).migrations > 0

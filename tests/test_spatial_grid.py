@@ -158,6 +158,26 @@ def test_candidates_is_a_superset_of_the_disc(points, center, radius) -> None:
             assert f"p{index}" in candidates
 
 
+def test_cover_reaches_points_the_float_test_accepts() -> None:
+    """``10.0 - 10.0`` rounds to ``0.0``, yet the scalar float test
+    accepts a point at ``y = -5e-324``, one cell below: the disc's cell
+    cover must still reach it (the whole-population sweep does)."""
+    center = Point(0.0, 10.0)
+    below = Point(0.0, -5e-324)
+    dy = below.y - center.y
+    assert dy * dy <= 10.0 * 10.0
+    grid = SpatialGrid(60.0)
+    grid.insert("below", below)
+    assert "below" in grid.candidates(center, 10.0)
+    world = World(Environment(seed=3), bounds=Rect(-100.0, -100.0,
+                                                    100.0, 100.0),
+                  cell_size=60.0)
+    world.add_node("center", center)
+    world.add_node("below", below)
+    assert [node.node_id for node in world.nodes_within("center", 10.0)] \
+        == ["below"]
+
+
 # -- incremental invalidation regressions -------------------------------------
 
 
