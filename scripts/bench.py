@@ -40,6 +40,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.eval.bench import (SCENARIOS, SHARDED_SCENARIOS,  # noqa: E402
                               ScenarioResult, compare_reports, run_bench)
+from repro.shard import PARTITION_KINDS  # noqa: E402
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
@@ -68,11 +69,11 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
                         help="run shardable scenarios on N region shards "
                              "(worker processes when N > 1); mutually "
                              "exclusive with --jobs")
-    parser.add_argument("--partition", choices=("strip", "tile"),
+    parser.add_argument("--partition", choices=PARTITION_KINDS,
                         default="strip",
                         help="region geometry for --shards runs: vertical "
-                             "strips or a load-balanceable 2D tile grid "
-                             "(default strip)")
+                             "strips (a one-row tile grid) or a "
+                             "load-balanceable 2D tile grid (default strip)")
     parser.add_argument("--rebalance", action="store_true",
                         help="let the coordinator reassign tiles between "
                              "shards at window edges (needs "

@@ -15,10 +15,10 @@ Run:
     PYTHONPATH=src python scripts/shardcheck.py --partition tile \\
         --rebalance --scenario crowd_clustered_n256      # tile + rebalancer
 
-Both runs of a pair use the same partition geometry and rebalance
-setting (at one shard they are no-ops), so the gate certifies the tile
-partition and the dynamic rebalancer against the identical oracle the
-strip partition answers to.  Both also run with ``verify_ghosts``, so
+Both runs of a pair use the same partition preset and rebalance
+setting (at one shard they are no-ops), so the gate certifies the
+``strip`` and ``tile`` presets and the dynamic rebalancer against one
+oracle.  Both also run with ``verify_ghosts``, so
 every window edge cross-checks each ghost replica's position against
 its owner's, in the worker processes too.
 
@@ -36,8 +36,9 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.eval.bench import SHARDED_SCENARIOS  # noqa: E402
-from repro.shard import (ShardedResult, ShardedRunner,  # noqa: E402
-                         compare_results, write_divergence_artifacts)
+from repro.shard import (PARTITION_KINDS, ShardedResult,  # noqa: E402
+                         ShardedRunner, compare_results,
+                         write_divergence_artifacts)
 
 #: Default scenarios: big enough for real border traffic, small enough
 #: to keep the full interaction logs cheap to collect and compare.
@@ -53,7 +54,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
                              f"{', '.join(DEFAULT_SCENARIOS)})")
     parser.add_argument("--shards", type=int, default=4, metavar="N",
                         help="shard count to compare against 1 (default 4)")
-    parser.add_argument("--partition", choices=("strip", "tile"),
+    parser.add_argument("--partition", choices=PARTITION_KINDS,
                         default="strip",
                         help="region geometry both runs use "
                              "(default strip)")

@@ -18,12 +18,7 @@ from repro.mobility.models import (
     Stationary,
 )
 from repro.mobility.grid import SpatialGrid
-from repro.mobility.world import (
-    MobileNode,
-    MovementReport,
-    World,
-    spatial_index_enabled,
-)
+from repro.mobility.world import MobileNode, MovementReport, World
 
 __all__ = [
     "BusRoute",
@@ -40,5 +35,4 @@ __all__ = [
     "Stationary",
     "World",
     "distance",
-    "spatial_index_enabled",
 ]

@@ -4,16 +4,13 @@ Proximity queries are served by a uniform :class:`~repro.mobility.grid.
 SpatialGrid` so ``nodes_within`` costs O(cell occupancy) instead of
 O(N), and movement is reported *per node* (a :class:`MovementReport`)
 so listeners such as the radio medium can invalidate incrementally
-instead of dropping all memoized topology on every tick.
-
-Setting the environment variable ``REPRO_SPATIAL_INDEX=0`` disables
-the grid and falls back to brute-force linear scans with whole-world
-notifications — kept for A/B benchmarking and as an oracle in tests.
+instead of dropping all memoized topology on every tick.  The grid is
+the only proximity path; ``tests/test_spatial_grid.py`` checks it
+against an O(N²) model kept in the test.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from collections.abc import Callable, Iterator
 
@@ -46,9 +43,7 @@ class MovementReport:
 
     ``moved`` lists every node whose position changed (``crossed`` is
     the subset that landed in a different grid cell); ``added`` and
-    ``removed`` cover population changes.  Listeners that only care
-    *that* something happened can ignore the payload — the legacy
-    no-argument ``on_movement`` callbacks still fire alongside.
+    ``removed`` cover population changes.
     """
 
     __slots__ = ("moved", "crossed", "added", "removed")
@@ -77,11 +72,6 @@ class MovementReport:
                 f"removed={len(self.removed)})")
 
 
-def spatial_index_enabled() -> bool:
-    """Whether new worlds use the spatial grid (REPRO_SPATIAL_INDEX)."""
-    return os.environ.get("REPRO_SPATIAL_INDEX", "1") != "0"
-
-
 class World:
     """Bounded 2D plane holding every mobile node.
 
@@ -105,11 +95,9 @@ class World:
         self.bounds = bounds if bounds is not None else Rect(0.0, 0.0, 200.0, 200.0)
         self.tick = tick
         self._nodes: dict[str, MobileNode] = {}
-        self._listeners: list[Callable[[], None]] = []
-        self._report_listeners: list[Callable[[MovementReport], None]] = []
-        self._grid: SpatialGrid | None = (
-            SpatialGrid(cell_size if cell_size is not None else DEFAULT_CELL_SIZE)
-            if spatial_index_enabled() else None)
+        self._listeners: list[Callable[[MovementReport], None]] = []
+        self._grid = SpatialGrid(
+            cell_size if cell_size is not None else DEFAULT_CELL_SIZE)
         self._batch_depth = 0
         self._pending: dict[str, set[str]] = {
             "moved": set(), "crossed": set(), "added": set(), "removed": set()}
@@ -117,8 +105,8 @@ class World:
         self._last_tick_time = env.now
 
     @property
-    def grid(self) -> SpatialGrid | None:
-        """The backing spatial index (``None`` in brute-force mode)."""
+    def grid(self) -> SpatialGrid:
+        """The backing spatial index."""
         return self._grid
 
     # -- population -------------------------------------------------------
@@ -132,8 +120,7 @@ class World:
             position = self.bounds.clamp(position)
         node = MobileNode(node_id, position, model)
         self._nodes[node_id] = node
-        if self._grid is not None:
-            self._grid.insert(node_id, position)
+        self._grid.insert(node_id, position)
         self._notify(MovementReport(added=(node_id,)))
         return node
 
@@ -142,8 +129,7 @@ class World:
         if node_id not in self._nodes:
             raise KeyError(f"node {node_id!r} not in world")
         del self._nodes[node_id]
-        if self._grid is not None:
-            self._grid.remove(node_id)
+        self._grid.remove(node_id)
         self._notify(MovementReport(removed=(node_id,)))
 
     def node(self, node_id: str) -> MobileNode:
@@ -179,32 +165,18 @@ class World:
         # scan of every device.
         radius_sq = radius * radius
         found = []
-        if self._grid is None:
-            for node in nodes.values():
-                position = node.position
-                dx = position.x - cx
-                dy = position.y - cy
-                if dx * dx + dy * dy <= radius_sq and node.node_id != node_id:
-                    found.append(node)
-        else:
-            for other_id in self._grid.candidates(center, radius):
-                node = nodes[other_id]
-                position = node.position
-                dx = position.x - cx
-                dy = position.y - cy
-                if dx * dx + dy * dy <= radius_sq and other_id != node_id:
-                    found.append(node)
+        for other_id in self._grid.candidates(center, radius):
+            node = nodes[other_id]
+            position = node.position
+            dx = position.x - cx
+            dy = position.y - cy
+            if dx * dx + dy * dy <= radius_sq and other_id != node_id:
+                found.append(node)
         found.sort(key=lambda node: node.node_id)
         return found
 
     def region_stamp(self, node_id: str, radius: float) -> tuple[int, ...]:
-        """Change stamp for the disc around ``node_id`` (see grid docs).
-
-        Constant in brute-force mode — callers relying on stamps for
-        cache validity must install a clear-all movement listener there.
-        """
-        if self._grid is None:
-            return (0, 0)
+        """Change stamp for the disc around ``node_id`` (see grid docs)."""
         return self._grid.region_stamp(self._nodes[node_id].position, radius)
 
     # -- grid maintenance -------------------------------------------------
@@ -217,14 +189,14 @@ class World:
         neighbour query touches a handful of cells.
         """
         grid = self._grid
-        if grid is None or range_m <= grid.cell_size:
+        if range_m <= grid.cell_size:
             return
         grid.rebuild(range_m, {node_id: node.position
                                for node_id, node in self._nodes.items()})
 
     def touch_node(self, node_id: str) -> None:
         """Mark a node changed without moving it (adapter toggles)."""
-        if self._grid is not None and node_id in self._nodes:
+        if node_id in self._nodes:
             self._grid.touch(node_id)
 
     # -- movement ------------------------------------------------------------
@@ -233,19 +205,13 @@ class World:
         """Teleport a node (used by tests and scenario setup)."""
         node = self._nodes[node_id]
         node.position = self.bounds.clamp(position)
-        crossed = True
-        if self._grid is not None:
-            crossed = self._grid.move(node_id, node.position)
+        crossed = self._grid.move(node_id, node.position)
         self._notify(MovementReport(
             moved=(node_id,), crossed=(node_id,) if crossed else ()))
 
-    def on_movement(self, listener: Callable[[], None]) -> None:
-        """Register a callback invoked after every position change."""
-        self._listeners.append(listener)
-
     def on_moves(self, listener: Callable[[MovementReport], None]) -> None:
         """Register a callback receiving per-node movement reports."""
-        self._report_listeners.append(listener)
+        self._listeners.append(listener)
 
     @contextmanager
     def batch(self) -> Iterator[World]:
@@ -287,7 +253,7 @@ class World:
             if new_position != node.position:
                 node.position = new_position
                 moved.append(node.node_id)
-                if grid is not None and grid.move(node.node_id, new_position):
+                if grid.move(node.node_id, new_position):
                     crossed.append(node.node_id)
         if moved:
             self._notify(MovementReport(moved=tuple(moved),
@@ -302,9 +268,7 @@ class World:
             pending["removed"].update(report.removed)
             return
         for listener in self._listeners:
-            listener()
-        for report_listener in self._report_listeners:
-            report_listener(report)
+            listener(report)
 
     def _flush_pending(self) -> None:
         pending = self._pending

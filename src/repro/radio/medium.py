@@ -11,19 +11,22 @@ adapter is invisible on Bluetooth even when physically near), which
 lets scenarios reproduce the paper's testbed where only some machines
 carried dongles (Table 5).
 
+A local radio has one in-range test: ``dx*dx + dy*dy <= range*range``
+on the two world positions.  ``reachable``, the grid-backed
+``World.nodes_within`` that scalar listings come from and the numpy
+sweep all apply it, so a device ``neighbors`` lists is one ``reachable``
+accepts.
+
 Invalidation is *incremental*: the world reports which nodes moved per
-tick and the medium drops only the cached distances and reachability
-verdicts involving those nodes (via per-node key indexes), so when one
-node out of a thousand moves the other 999 devices' memoized topology
-stays hot — the previous design cleared everything on any movement,
-which made every tick quadratic at crowd scale.  Cache *hits* stay a
-single dict lookup.  Neighbour listings are validated lazily instead:
-each carries the spatial grid's *region stamp* for the radio disc it
-covers, so a listing survives until somebody inside that disc's cells
-moves, joins, leaves or toggles an adapter.  Adapter power toggles
-invalidate only the owning device's pairs.  When the world runs
-without a spatial grid (``REPRO_SPATIAL_INDEX=0``) the medium falls
-back to the historical clear-everything listeners.
+tick and the medium drops only the reachability verdicts involving
+those nodes (via a per-node key index), so when one node out of a
+thousand moves the other 999 devices' memoized verdicts stay hot.
+Cache *hits* stay a single dict lookup.  Neighbour listings are
+validated lazily instead: each carries the spatial grid's *region
+stamp* for the radio disc it covers, so a listing survives until
+somebody inside that disc's cells moves, joins, leaves or toggles an
+adapter.  Adapter power toggles invalidate only the owning device's
+pairs.
 
 At crowd scale a local technology's listings come instead from one
 numpy sweep of its whole roster (:mod:`repro.radio.sweep`), kept as one
@@ -133,20 +136,13 @@ class Medium:
         #: remove is O(roster) and shard-border ghost churn detaches
         #: constantly at 100k-device scale.
         self._by_technology: dict[str, dict[str, None]] = {}
-        #: Technology names each device holds adapters for — lets
-        #: per-node invalidation find the device's neighbour listings
-        #: without scanning the full adapter registry.
-        self._techs_of: dict[str, list[str]] = {}
         self._gateways: set[str] = set()
-        #: Pairwise distances memoized until either endpoint moves.
-        self._distances: dict[tuple[str, str], float] = {}
         #: Memoized ``reachable`` verdicts, evicted per endpoint.
         self._reachable_cache: dict[tuple[str, str, str], bool] = {}
         #: node id -> cache keys involving it, for targeted eviction.
         #: Sets may hold keys already evicted via the other endpoint;
         #: eviction tolerates misses, and re-derived entries re-add
-        #: their key, so the indexes stay bounded by the live pair set.
-        self._dist_index: dict[str, set[tuple[str, str]]] = {}
+        #: their key, so the index stays bounded by the live pair set.
         self._reach_index: dict[str, set[tuple[str, str, str]]] = {}
         #: (device, tech) -> (listing, stamp) for the scalar paths: a
         #: materialized listing with the grid region stamp of the radio
@@ -158,9 +154,6 @@ class Medium:
         #: toggles) — validates wide-area neighbour listings.
         self._tech_epoch: dict[str, int] = {}
         self._gateway_epoch = 0
-        #: With a spatial grid, region stamps + per-node eviction carry
-        #: invalidation; without one, clear-everything listeners do.
-        self._incremental = world.grid is not None
         #: Monotone counter covering *anything* that can change a
         #: neighbour listing: movement, population, adapter power,
         #: gateways.  A sweep record is stamped with it, so validating
@@ -168,19 +161,15 @@ class Medium:
         #: walk.
         self._topology_version = 0
         #: Roster size from which a local technology is swept whole;
-        #: ``None`` when it never is (no numpy, or no grid).
+        #: ``None`` when it never is (numpy does not import).
         self._vector_min: int | None = (
-            VECTOR_SWEEP_MIN_DEVICES
-            if self._incremental and _sweep.available() else None)
+            VECTOR_SWEEP_MIN_DEVICES if _sweep.available() else None)
         #: Bumped when the world gains or loses a node; with the
         #: technology's roster epoch it keys who a sweep covers.
         self._population_epoch = 0
         #: tech -> the latest whole-roster sweep of that technology.
         self._sweeps: dict[str, _Sweep] = {}
-        if self._incremental:
-            world.on_moves(self._apply_report)
-        else:
-            world.on_movement(self._invalidate_positions)
+        world.on_moves(self._apply_report)
         #: Optional installed :class:`~repro.net.faults.FaultInjector`;
         #: stacks and connections consult it at setup and send time.
         self.faults: FaultInjector | None = None
@@ -188,17 +177,12 @@ class Medium:
     # -- invalidation ----------------------------------------------------
 
     def _evict_node(self, node_id: str) -> None:
-        """Drop every cached distance/verdict involving ``node_id``."""
+        """Drop every cached verdict involving ``node_id``."""
         keys = self._reach_index.pop(node_id, None)
         if keys:
             cache = self._reachable_cache
             for key in keys:
                 cache.pop(key, None)
-        pair_keys = self._dist_index.pop(node_id, None)
-        if pair_keys:
-            distances = self._distances
-            for key in pair_keys:
-                distances.pop(key, None)
 
     def _apply_report(self, report: MovementReport) -> None:
         """Movement listener: evict only what the movers invalidate.
@@ -213,58 +197,19 @@ class Medium:
         for node_id in report.changed_ids():
             self._evict_node(node_id)
 
-    def _invalidate_positions(self) -> None:
-        """Brute-force-mode movement listener: drop position-derived
-        caches (distances, reachability, neighbour listings)."""
-        self._topology_version += 1
-        self._distances.clear()
-        self._reachable_cache.clear()
-        self._neighbors_cache.clear()
-        self._dist_index.clear()
-        self._reach_index.clear()
-
     def _adapter_changed(self, device_id: str, technology_name: str) -> None:
         """One device's adapter set or power state changed.
 
         Only pairs involving ``device_id`` can have changed: evict its
         verdicts, stamp its grid cell (so listings whose disc covers it
         re-derive) and bump the technology's roster epoch (wide-area
-        listings).  Its memoized *distances* stay valid — radios do not
-        move the device.
+        listings).
         """
         self._topology_version += 1
         self._tech_epoch[technology_name] = \
             self._tech_epoch.get(technology_name, 0) + 1
-        if self._incremental:
-            keys = self._reach_index.pop(device_id, None)
-            if keys:
-                cache = self._reachable_cache
-                for key in keys:
-                    cache.pop(key, None)
-            self.world.touch_node(device_id)
-        else:
-            # Without per-node indexes or region stamps there is no way
-            # to know which verdicts/listings involve this device —
-            # drop them all (the historical behaviour).
-            self._reachable_cache.clear()
-            self._neighbors_cache.clear()
-
-    def _distance(self, a: str, b: str) -> float:
-        """World distance memoized until either endpoint moves."""
-        key = (a, b) if a <= b else (b, a)
-        cached = self._distances.get(key)
-        if cached is not None:
-            return cached
-        cached = self.world.distance_between(a, b)
-        self._distances[key] = cached
-        if self._incremental:
-            index = self._dist_index
-            for node_id in key:
-                bucket = index.get(node_id)
-                if bucket is None:
-                    bucket = index[node_id] = set()
-                bucket.add(key)
-        return cached
+        self._evict_node(device_id)
+        self.world.touch_node(device_id)
 
     # -- attachment ------------------------------------------------------
 
@@ -277,7 +222,6 @@ class Medium:
         adapter._medium = self
         self._adapters[key] = adapter
         self._by_technology.setdefault(technology.name, {})[device_id] = None
-        self._techs_of.setdefault(device_id, []).append(technology.name)
         if technology.range_m is not None:
             # Keep grid cells at least one radio range wide so a
             # neighbour disc overlaps a bounded number of cells.
@@ -286,29 +230,10 @@ class Medium:
         return adapter
 
     def detach(self, device_id: str, technology_name: str) -> None:
-        """Remove an adapter (device powered the radio off).
-
-        Sweeps the device's stale cache entries as it goes: verdicts
-        for this technology always, and — once its *last* adapter is
-        gone — its memoized distances too.  Without this, churn-heavy
-        runs (shard-border ghosts detach constantly) grow ``_distances``
-        with pairs no live query will ever touch again.
-        """
+        """Remove an adapter (device powered the radio off)."""
         del self._adapters[(device_id, technology_name)]
         del self._by_technology[technology_name][device_id]
-        techs = self._techs_of[device_id]
-        techs.remove(technology_name)
         self._neighbors_cache.pop((device_id, technology_name), None)
-        keys = self._reach_index.get(device_id)
-        if keys:
-            cache = self._reachable_cache
-            stale = [key for key in keys if key[2] == technology_name]
-            for key in stale:
-                cache.pop(key, None)
-                keys.discard(key)
-        if not techs:
-            del self._techs_of[device_id]
-            self._evict_node(device_id)
         self._adapter_changed(device_id, technology_name)
 
     def adapter(self, device_id: str, technology_name: str) -> Adapter | None:
@@ -329,8 +254,6 @@ class Medium:
         # a scenario-setup event, so a full drop is fine.
         self._reachable_cache.clear()
         self._reach_index.clear()
-        if not self._incremental:
-            self._neighbors_cache.clear()
 
     def has_gateway(self, technology_name: str) -> bool:
         """Whether the wide-area technology has infrastructure."""
@@ -352,15 +275,12 @@ class Medium:
             return cached
         verdict = self._compute_reachable(a, b, technology_name)
         self._reachable_cache[key] = verdict
-        if self._incremental:
-            # Brute-force mode clears caches wholesale, so the
-            # per-node eviction indexes would be dead weight there.
-            index = self._reach_index
-            for node_id in (a, b):
-                bucket = index.get(node_id)
-                if bucket is None:
-                    bucket = index[node_id] = set()
-                bucket.add(key)
+        index = self._reach_index
+        for node_id in (a, b):
+            bucket = index.get(node_id)
+            if bucket is None:
+                bucket = index[node_id] = set()
+            bucket.add(key)
         return verdict
 
     def _compute_reachable(self, a: str, b: str, technology_name: str) -> bool:
@@ -375,9 +295,18 @@ class Medium:
         technology = adapter_a.technology
         if technology.needs_gateway:
             return technology_name in self._gateways
-        if a not in self.world or b not in self.world:
+        node_a = self._world_nodes.get(a)
+        node_b = self._world_nodes.get(b)
+        if node_a is None or node_b is None:
             return False
-        return technology.in_range(self._distance(a, b))
+        range_m = technology.range_m
+        if range_m is None:
+            return True
+        # The squared test ``nodes_within`` and the sweep apply, not a
+        # hypot: at the range edge the two round differently.
+        dx = node_b.position.x - node_a.position.x
+        dy = node_b.position.y - node_a.position.y
+        return dx * dx + dy * dy <= range_m * range_m
 
     def link_quality(self, a: str, b: str, technology_name: str) -> float:
         """Quality in [0, 1] of the a<->b link; 0 when unreachable."""
@@ -386,7 +315,7 @@ class Medium:
         technology = self._adapters[(a, technology_name)].technology
         if technology.range_m is None:
             return 1.0
-        return technology.link_quality(self._distance(a, b))
+        return technology.link_quality(self.world.distance_between(a, b))
 
     def neighbors(self, device_id: str, technology_name: str) -> list[str]:
         """Device ids reachable from ``device_id`` over the technology.
@@ -431,7 +360,7 @@ class Medium:
         entry = self._neighbors_cache.get(key)
         if entry is not None and entry[1] == stamp:
             return list(entry[0])
-        if local_range is None or not self._incremental:
+        if local_range is None:
             listing = sorted(
                 other for other in self._by_technology.get(technology_name, ())
                 if other != device_id

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 try:
     import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI
+except ImportError:  # pragma: no cover - the dev extra installs numpy
     _np = None  # type: ignore[assignment]
 
 #: The pitch floor as a multiple of the radius.  Any margin above the

@@ -2,10 +2,10 @@
 
 ``repro.eval.parallel`` fans *independent* runs across processes; this
 package partitions **one** simulated world across worker processes.
-The spatial grid's plane is split by a pluggable region partition —
-equal-width vertical strips, or a 2D tile grid with an explicit
-tile→shard map — each shard owning the devices inside its territory:
-their slice of the event queue (a per-shard
+The spatial grid's plane is split by a tile partition — a 2D grid of
+tiles with an explicit tile→shard map, of which equal-width vertical
+strips are the one-row preset — each shard owning the devices inside
+its territory: their slice of the event queue (a per-shard
 :class:`~repro.simenv.environment.Environment`), their movement, their
 discovery scans and their cached medium state (a per-shard
 :class:`~repro.radio.medium.Medium`).
@@ -20,11 +20,11 @@ window`` metres, so any pair that could interact during the window is
 covered by the exchange that opened it (DESIGN.md §9 gives the full
 argument).
 
-Tile partitions additionally support **dynamic re-balancing**
-(DESIGN.md §11): shards report per-tile load counters at each window
-edge and the coordinator may reassign whole tiles to other shards,
-broadcasting the new map at the sync barrier so the ordinary migration
-machinery moves the affected devices.  The map only decides *where*
+The tile map also supports **dynamic re-balancing** (DESIGN.md §11):
+shards report per-tile load counters at each window edge and the
+coordinator may reassign whole tiles to other shards, broadcasting the
+new map at the sync barrier so the ordinary migration machinery moves
+the affected devices.  The map only decides *where*
 work happens, never what happens, so rebalanced runs stay bit-exact.
 
 Determinism is the contract: a run at any shard count, under any
@@ -46,9 +46,8 @@ from repro.shard.engine import ShardConfig, ShardSim
 from repro.shard.equivalence import (compare_results, interaction_digests,
                                      write_divergence_artifacts)
 from repro.shard.partition import (PARTITION_KINDS, PartitionSpec,
-                                   StripPartition, TilePartition,
-                                   default_tile_map, halo_width,
-                                   plan_tile_grid, spec_for)
+                                   TilePartition, default_tile_map,
+                                   halo_width, plan_tile_grid, spec_for)
 from repro.shard.runner import (ClusteredWorkload, ShardedResult,
                                 ShardedRunner, ShardWorkload,
                                 clustered_workload, crowd_workload,
@@ -67,7 +66,6 @@ __all__ = [
     "ShardWorkload",
     "ShardedResult",
     "ShardedRunner",
-    "StripPartition",
     "TilePartition",
     "build_clustered_crowd",
     "build_crowd",

@@ -28,16 +28,16 @@ the replica it was sent.  By the exactness invariant that replica is
 bit-identical to the owner's copy, which ``verify_ghosts=True``
 asserts against the kept positions.
 
-Ownership geometry is pluggable (:mod:`repro.shard.partition`): the
-engine only ever asks ``route(x, y, halo)`` for a device's tile, owner
-and ghost targets, so vertical strips and 2D tile grids run through
-identical machinery.  Under a tile partition each exchange also carries
-per-tile load counters (owned devices weighted by the discovery
-events they fired this window), and the coordinator may hand back a
-rebalanced tile→shard map in ``apply_exchange`` — adopted *after* the
-incoming traffic is installed, so it governs the next window's
-ownership re-evaluation and the reassigned tiles' devices migrate
-through the ordinary exchange path one window later.
+Ownership geometry is a :class:`~repro.shard.partition.TilePartition`
+(vertical strips are its one-row preset): the engine only ever asks
+``route(x, y, halo)`` for a device's tile, owner and ghost targets.
+When the run rebalances, each exchange also carries per-tile load
+counters (owned devices weighted by the discovery events they fired
+this window), and the coordinator may hand back a rebalanced
+tile→shard map in ``apply_exchange`` — adopted *after* the incoming
+traffic is installed, so it governs the next window's ownership
+re-evaluation and the reassigned tiles' devices migrate through the
+ordinary exchange path one window later.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from repro.radio.medium import Medium
 from repro.radio.technology import Technology
 from repro.shard.balance import REBALANCE_THRESHOLD
 from repro.shard.devices import DeviceState
-from repro.shard.partition import PartitionSpec, TilePartition
+from repro.shard.partition import PartitionSpec
 from repro.simenv.environment import Environment
 
 #: Technology name the shard radio registers under.
@@ -91,13 +91,13 @@ class ShardConfig:
     radio_range: float
     halo: float
     scan_times: tuple[float, ...]
+    #: Ownership geometry (the tile grid and its initial map); see
+    #: :mod:`repro.shard.partition`.
+    partition: PartitionSpec
     collect_logs: bool = True
     verify_ghosts: bool = False
-    #: Ownership geometry (strip or tile grid); see
-    #: :mod:`repro.shard.partition`.
-    partition: PartitionSpec = PartitionSpec()
     #: Whether the coordinator may reassign tiles between shards at
-    #: window edges (tile partitions only).
+    #: window edges; shards then report per-tile loads.
     rebalance: bool = False
     #: ``max/mean`` shard-load ratio that triggers a rebalance.
     rebalance_threshold: float = REBALANCE_THRESHOLD
@@ -133,7 +133,7 @@ class ShardExchange:
     #: holds from this shard's previous export.
     kept: list[tuple[int, KeptGhost]] = field(default_factory=list)
     #: tile index -> load (owned devices weighted by the scan events
-    #: they fired this window); empty under a strip partition.
+    #: they fired this window); empty unless the run rebalances.
     tile_loads: dict[int, int] = field(default_factory=dict)
     #: Device events this shard fired during the window just ended.
     window_events: int = 0
@@ -157,7 +157,6 @@ class ShardSim:
         self.config = config
         self.shard_id = shard_id
         self.partition = config.partition.build(config.bounds, config.shards)
-        self._tiled = isinstance(self.partition, TilePartition)
         self.env = Environment(seed=config.seed)
         self.world = World(self.env, bounds=config.bounds, tick=config.tick,
                            cell_size=config.radio_range)
@@ -295,8 +294,8 @@ class ShardSim:
         for a departing device, so a window edge costs exactly one
         gather/scatter round through the coordinator.  A ghost export
         to a shard this one exported the device to at the previous
-        edge is a kept entry; any other is a full snapshot.  Under a
-        tile partition the exchange also carries per-tile loads — each
+        edge is a kept entry; any other is a full snapshot.  When the
+        run rebalances, the exchange also carries per-tile loads — each
         owned device contributes ``1 + scan events this window`` to
         the tile it stands in — which feed the coordinator's
         rebalancer.
@@ -311,7 +310,7 @@ class ShardSim:
         routes = self._routes
         previous = self._exported
         exported: dict[str, tuple[int, ...]] = {}
-        tiled = self._tiled
+        rebalance = self.config.rebalance
         shard_id = self.shard_id
         scan_events = self._scan_events
         node = self.world.node
@@ -341,7 +340,7 @@ class ShardSim:
                     else:
                         snapshots.append((target, state))
                 exported[device_id] = targets
-            if tiled:
+            if rebalance:
                 tile_loads[tile] = (tile_loads.get(tile, 0) + 1
                                     + scan_events.get(device_id, 0))
         self._exported = exported
@@ -367,10 +366,7 @@ class ShardSim:
         stays a shard-invariant pure function.  Routes memoised under
         the old map are dropped.
         """
-        partition = self.partition
-        if not isinstance(partition, TilePartition):
-            raise ValueError("only tile partitions carry a tile map")
-        self.partition = partition.with_map(tile_map)
+        self.partition = self.partition.with_map(tile_map)
         self._routes.clear()
 
     def apply_exchange(self, immigrants: list[DeviceState],

@@ -1,4 +1,4 @@
-"""Region partitions of the world plane: vertical strips and 2D tiles.
+"""Region partitions of the world plane: a 2D grid of tiles.
 
 A partition answers two questions for the sharded engine:
 
@@ -14,18 +14,21 @@ A partition answers two questions for the sharded engine:
 The engine asks both questions, plus the tile a device stands in, in
 one ``route(x, y, halo)`` call per owned device per window edge.
 
-Two geometries implement the :class:`Partition` protocol:
+:class:`TilePartition` cuts the bounds into a grid of tiles with an
+explicit tile→shard map.  Ownership is two floor-divisions and a table
+lookup; ghost routing walks the tiles intersecting the halo box
+(corners included).  Because the map is *data*, the coordinator can
+reassign whole tiles between shards at a sync barrier — the dynamic
+re-balancing that keeps clustered workloads spread across shards
+(:mod:`repro.shard.balance`).
 
-* :class:`StripPartition` — equal-width vertical strips.  Ownership is
-  one comparison and the exchange pattern is linear, but a crowd that
-  clusters inside one strip collapses the whole run onto one shard.
-* :class:`TilePartition` — a grid of tiles with an explicit
-  tile→shard map.  Ownership is two floor-divisions and a table
-  lookup; ghost routing walks the tiles intersecting the halo box
-  (corners included).  Because the map is *data*, the coordinator can
-  reassign whole tiles between shards at a sync barrier — the dynamic
-  re-balancing that keeps clustered workloads spread across shards
-  (:mod:`repro.shard.balance`).
+:func:`spec_for` names two presets (:data:`PARTITION_KINDS`).
+``tile`` plans a grid of about :data:`TILES_PER_SHARD` tiles per
+shard.  ``strip`` is the one-row grid ``(shards, 1)`` under the default
+map: tile ``i`` is the vertical strip ``int((x - min_x) // (width /
+shards))``, clamped, and shard ``i`` owns it.  Its exchange pattern is
+linear, but a crowd that clusters inside one strip collapses the whole
+run onto one shard.
 
 :class:`PartitionSpec` is the picklable description that crosses to
 worker processes inside :class:`~repro.shard.engine.ShardConfig`; the
@@ -38,7 +41,7 @@ from dataclasses import dataclass
 
 from repro.mobility.geometry import Rect
 
-#: Partition kinds a :class:`PartitionSpec` may name.
+#: Partition presets :func:`spec_for` knows.
 PARTITION_KINDS = ("strip", "tile")
 
 #: Default tile granularity: tiles per shard the factory aims for.
@@ -72,76 +75,6 @@ def halo_width(radio_range: float, max_speed: float, window: float) -> float:
     if window <= 0.0:
         raise ValueError(f"window must be positive, got {window!r}")
     return radio_range + 2.0 * max_speed * window
-
-
-class StripPartition:
-    """Equal-width vertical strips over the world bounds.
-
-    Strip ``i`` covers x in ``[min_x + i*w, min_x + (i+1)*w)`` with the
-    last strip closed on the right so the whole bounds are covered
-    (positions are always clamped into bounds by the world).
-    """
-
-    __slots__ = ("bounds", "shards", "strip_width")
-
-    def __init__(self, bounds: Rect, shards: int) -> None:
-        if shards < 1:
-            raise ValueError(f"shards must be >= 1, got {shards!r}")
-        self.bounds = bounds
-        self.shards = shards
-        self.strip_width = bounds.width / shards
-
-    def owner_of(self, x: float) -> int:
-        """Shard id owning x — a pure float function, shard-invariant."""
-        index = int((x - self.bounds.min_x) // self.strip_width)
-        if index < 0:
-            return 0
-        if index >= self.shards:
-            return self.shards - 1
-        return index
-
-    def owner_at(self, x: float, y: float) -> int:
-        """:class:`Partition` ownership — strips ignore ``y``."""
-        return self.owner_of(x)
-
-    def strip_interval(self, shard_id: int) -> tuple[float, float]:
-        """``[lo, hi]`` x-interval of one strip."""
-        if not 0 <= shard_id < self.shards:
-            raise ValueError(f"shard_id {shard_id} out of range "
-                             f"[0, {self.shards})")
-        lo = self.bounds.min_x + shard_id * self.strip_width
-        return (lo, lo + self.strip_width)
-
-    def shards_within(self, x: float, halo: float) -> range:
-        """Shard ids whose strip intersects ``[x - halo, x + halo]``.
-
-        This is the ghost routing set for a device at ``x``: every
-        listed shard could own a device within interaction distance
-        during the coming window.  With a halo wider than a strip the
-        range simply spans several shards (correct, just chattier).
-        """
-        if halo < 0.0:
-            raise ValueError(f"halo must be non-negative, got {halo!r}")
-        return range(self.owner_of(x - halo), self.owner_of(x + halo) + 1)
-
-    def ghost_shards(self, x: float, y: float,
-                     halo: float) -> tuple[int, ...]:
-        """:class:`Partition` ghost routing — the strip interval set."""
-        return tuple(self.shards_within(x, halo))
-
-    def route(self, x: float, y: float,
-              halo: float) -> tuple[int, int, tuple[int, ...]]:
-        """``(tile, owner, ghost targets)`` in one call.
-
-        A strip is the tile of a one-row grid, so its index doubles as
-        the tile index (and equals the owner).
-        """
-        owner = self.owner_of(x)
-        return owner, owner, tuple(self.shards_within(x, halo))
-
-    def __repr__(self) -> str:
-        return (f"StripPartition({self.shards} strips x "
-                f"{self.strip_width:g}m)")
 
 
 class TilePartition:
@@ -229,7 +162,7 @@ class TilePartition:
             raise ValueError(f"tile {tile} out of range "
                              f"[0, {len(self.tile_map)})")
 
-    # -- Partition protocol ------------------------------------------------
+    # -- ownership and routing ---------------------------------------------
 
     def owner_at(self, x: float, y: float) -> int:
         """Shard owning ``(x, y)`` — pure function of position + map."""
@@ -386,43 +319,26 @@ def plan_tile_grid(bounds: Rect, shards: int, halo: float, *,
 class PartitionSpec:
     """Picklable partition description carried by the shard config.
 
-    ``kind`` selects the geometry; ``tiles``/``tile_map`` only apply to
-    tile partitions (``tile_map=None`` means the balanced default
-    map).  :meth:`build` materialises the live partition object — the
-    engine calls it once at start-up and again whenever the
-    coordinator broadcasts a rebalanced map.
+    ``tiles`` is the ``(columns, rows)`` grid; ``tile_map=None`` means
+    the balanced default map.  :meth:`build` materialises the live
+    partition object; a rebalanced map is adopted through
+    :meth:`TilePartition.with_map`.
     """
 
-    kind: str = "strip"
-    tiles: tuple[int, int] | None = None
+    tiles: tuple[int, int]
     tile_map: tuple[int, ...] | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in PARTITION_KINDS:
-            raise ValueError(f"unknown partition kind {self.kind!r}; "
-                             f"expected one of {PARTITION_KINDS}")
-        if self.kind == "tile" and self.tiles is None:
-            raise ValueError("tile partitions need an explicit tile grid")
-        if self.kind == "strip" and (self.tiles is not None
-                                     or self.tile_map is not None):
-            raise ValueError("strip partitions take no tile grid or map")
-
-    def build(self, bounds: Rect,
-              shards: int) -> StripPartition | TilePartition:
+    def build(self, bounds: Rect, shards: int) -> TilePartition:
         """The live partition object for one shard."""
-        if self.kind == "strip":
-            return StripPartition(bounds, shards)
-        assert self.tiles is not None
         return TilePartition(bounds, shards, self.tiles, self.tile_map)
 
 
 def spec_for(kind: str, bounds: Rect, shards: int,
              halo: float) -> PartitionSpec:
-    """The :class:`PartitionSpec` a runner starts from."""
+    """The :class:`PartitionSpec` of one preset (:data:`PARTITION_KINDS`)."""
     if kind == "strip":
-        return PartitionSpec()
+        return PartitionSpec(tiles=(shards, 1))
     if kind == "tile":
-        tiles = plan_tile_grid(bounds, shards, halo)
-        return PartitionSpec(kind="tile", tiles=tiles)
+        return PartitionSpec(tiles=plan_tile_grid(bounds, shards, halo))
     raise ValueError(f"unknown partition kind {kind!r}; "
                      f"expected one of {PARTITION_KINDS}")

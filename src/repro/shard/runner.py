@@ -4,8 +4,8 @@
 slices through the conservative windowed protocol:
 
 1. build the full device list once (deterministically, from the seed);
-2. split ownership by the configured partition (vertical strips or a
-   2D tile grid), export initial border ghosts;
+2. split ownership by the configured tile partition (the ``strip``
+   preset is its one-row grid), export initial border ghosts;
 3. alternate ``run_window`` with a gather/scatter exchange of
    migrations and ghost refreshes through the coordinator;
 4. merge per-shard interaction-log segments and event counts.
@@ -17,14 +17,13 @@ and route exchanged state through a pickle round-trip, so their
 results are byte-identical — the in-process mode is not a separate
 implementation, just a different scheduler.
 
-Under a tile partition with ``rebalance=True`` the coordinator merges
-the per-tile loads every shard attaches to its exchange and, when the
-greedy rebalancer (:mod:`repro.shard.balance`) finds a better
-tile→shard map, broadcasts it inside the ``apply`` message.  The map
-is a pure function of the merged loads with deterministic tie-breaks,
-and loads are themselves deterministic, so both schedulers derive the
-identical map sequence — rebalancing never perturbs the simulation,
-only *where* it runs.
+With ``rebalance=True`` the coordinator merges the per-tile loads
+every shard attaches to its exchange and, when the greedy rebalancer
+(:mod:`repro.shard.balance`) finds a better tile→shard map, broadcasts
+it inside the ``apply`` message.  The map is a pure function of the
+merged loads with deterministic tie-breaks, and loads are themselves
+deterministic, so both schedulers derive the identical map sequence —
+rebalancing never perturbs the simulation, only *where* it runs.
 
 Every run also accounts two load-quality figures the benchmarks
 report: the **imbalance factor** (sum over windows of the busiest
@@ -57,7 +56,7 @@ from repro.shard.devices import (DeviceState, build_clustered_crowd,
                                  build_crowd)
 from repro.shard.engine import (SHARD_TECH, KeptGhost, LogEntry, ShardConfig,
                                 ShardSim, shard_technology)
-from repro.shard.partition import TilePartition, halo_width, spec_for
+from repro.shard.partition import halo_width, spec_for
 from repro.simenv.environment import Environment
 from repro.mobility.world import World
 
@@ -244,9 +243,10 @@ class ShardedResult:
     worker_rss_mb: float
     #: shard id -> device events fired there (diagnostics).
     per_shard_events: dict[int, int]
-    #: Partition geometry the run used (``strip`` or ``tile``).
+    #: Partition preset the run used (``strip`` or ``tile``).
     partition: str = "strip"
-    #: Tile count of the grid (0 under a strip partition).
+    #: Tile count of the grid (``shards`` under ``strip``; 0 for the
+    #: unpartitioned reference run).
     tiles: int = 0
     #: Window edges at which the coordinator broadcast a new tile map.
     rebalances: int = 0
@@ -352,13 +352,10 @@ class _WindowStats:
     def __init__(self, config: ShardConfig) -> None:
         self.shards = config.shards
         self.threshold = config.rebalance_threshold
-        partition = config.partition.build(config.bounds, config.shards)
-        self._tile_map: tuple[int, ...] | None = None
-        self.tiles = 0
-        if isinstance(partition, TilePartition):
-            self._tile_map = partition.tile_map
-            self.tiles = len(partition.tile_map)
-        self.rebalance = config.rebalance and self._tile_map is not None
+        self._tile_map = config.partition.build(config.bounds,
+                                                config.shards).tile_map
+        self.tiles = len(self._tile_map)
+        self.rebalance = config.rebalance
         self.rebalances = 0
         self.tiles_migrated = 0
         self.critical_path = 0.0
@@ -380,7 +377,6 @@ class _WindowStats:
         for stats in shard_stats:
             for tile, load in stats["tile_loads"].items():
                 merged[tile] = merged.get(tile, 0) + load
-        assert self._tile_map is not None
         new_map, moves = rebalance_map(self._tile_map, merged, self.shards,
                                        threshold=self.threshold)
         if not moves:
@@ -475,21 +471,21 @@ class ShardedRunner:
             raise ValueError(f"shards must be >= 1, got {shards!r}")
         self.workload = workload
         self.shards = shards
+        self.partition = partition
         #: Default: worker processes once there is real fan-out.
         self.processes = (shards > 1) if processes is None else processes
         halo = halo_width(workload.radio_range, workload.max_speed(),
                           workload.window)
         spec = spec_for(partition, workload.bounds, shards, halo)
-        if rebalance and spec.kind != "tile":
+        if rebalance and partition != "tile":
             raise ValueError("rebalancing requires the tile partition "
                              f"(got {partition!r})")
         self.config = ShardConfig(
             seed=workload.seed, bounds=workload.bounds, shards=shards,
             sim_seconds=workload.sim_seconds, tick=workload.tick,
             window=workload.window, radio_range=workload.radio_range,
-            halo=halo,
-            scan_times=workload.scan_times(), collect_logs=collect_logs,
-            verify_ghosts=verify_ghosts, partition=spec,
+            halo=halo, scan_times=workload.scan_times(), partition=spec,
+            collect_logs=collect_logs, verify_ghosts=verify_ghosts,
             rebalance=rebalance, rebalance_threshold=rebalance_threshold,
             measure_alloc=measure_alloc)
 
@@ -521,7 +517,7 @@ class ShardedRunner:
             worker_rss_mb=max(report["rss_mb"] for report in reports),
             per_shard_events={report["shard_id"]: report["device_events"]
                               for report in reports},
-            partition=self.config.partition.kind,
+            partition=self.partition,
             tiles=stats.tiles,
             rebalances=stats.rebalances,
             tiles_migrated=stats.tiles_migrated,

@@ -192,7 +192,7 @@ class TestWorld:
 
     def test_movement_listener_fires(self, env, world):
         calls = []
-        world.on_movement(lambda: calls.append(env.now))
+        world.on_moves(lambda report: calls.append(env.now))
         world.add_node("walker", Point(0, 0),
                        LinearCrossing(Point(0, 0), Point(10, 0), 1.0))
         env.run(until=2.0)
@@ -201,7 +201,7 @@ class TestWorld:
     def test_stationary_world_stops_notifying(self, env, world):
         world.add_node("rock", Point(5, 5))
         calls = []
-        world.on_movement(lambda: calls.append(env.now))
+        world.on_moves(lambda report: calls.append(env.now))
         env.run(until=5.0)
         assert calls == []  # no movement -> no notifications
 

@@ -184,6 +184,26 @@ class TestMedium:
         assert {adapter.technology.name
                 for adapter in medium.adapters_of("a")} == {"bluetooth", "wlan"}
 
+    @pytest.mark.parametrize(("technology", "x", "y", "in_range"), [
+        # hypot gives 10.0 but x*x + y*y rounds to 100.00000000000001.
+        (BLUETOOTH, 7.896044033001984, 6.136162369828049, False),
+        # hypot gives 60.00000000000001 but x*x + y*y rounds to 3600.0.
+        (WLAN, 49.90316007295606, 33.311778918768724, True),
+    ], ids=["bluetooth", "wlan"])
+    def test_reachable_agrees_with_neighbors_at_the_range_edge(
+            self, world, medium, technology, x, y, in_range):
+        """Discovery must never list a peer that a connect refuses, nor
+        hide one it accepts: both use the squared-distance test."""
+        world.add_node("a", Point(0.0, 0.0))
+        world.add_node("b", Point(x, y))
+        medium.attach("a", technology)
+        medium.attach("b", technology)
+        name = technology.name
+        assert medium.neighbors("a", name) == (["b"] if in_range else [])
+        assert medium.neighbors("b", name) == (["a"] if in_range else [])
+        assert medium.reachable("a", "b", name) is in_range
+        assert medium.reachable("b", "a", name) is in_range
+
 
 class TestBluetooth:
     def test_piconet_limits_to_seven_slaves(self):
@@ -260,7 +280,7 @@ class TestGprsGateway:
 
 
 class TestMediumCaching:
-    """The medium memoizes distances, reachability and neighbour
+    """The medium memoizes reachability verdicts and neighbour
     listings per topology epoch; these are the regression tests that
     every cache invalidates on the event that makes it stale."""
 
@@ -280,8 +300,8 @@ class TestMediumCaching:
     def test_distance_cache_invalidated_by_movement(self, pair):
         world, medium = pair
         assert medium.reachable("a", "b", "bluetooth")
-        # Walk b out of Bluetooth range: the memoized distance (and the
-        # reachability verdict built on it) must not survive the move.
+        # Walk b out of Bluetooth range: the memoized reachability
+        # verdict must not survive the move.
         world.move_node("b", Point(150.0, 0.0))
         assert not medium.reachable("a", "b", "bluetooth")
         world.move_node("b", Point(3.0, 0.0))

@@ -67,6 +67,12 @@ class TestLockstepOracle:
         sharded = run_sharded(ORACLE, 4)
         assert sharded.ghost_peak > 0
 
+    def test_strip_preset_reports_its_name_and_tile_count(self):
+        """``strip`` is the one-row tile grid: one tile per shard."""
+        sharded = run_sharded(ORACLE, 4)
+        assert sharded.partition == "strip"
+        assert sharded.tiles == 4
+
     def test_event_totals_are_shard_count_invariant(self):
         totals = {shards: run_sharded(ORACLE, shards).events
                   for shards in SHARD_COUNTS}

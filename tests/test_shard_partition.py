@@ -8,9 +8,15 @@ These are the invariants the equivalence gate leans on, so they get
 direct unit and property coverage here, alongside the greedy
 rebalancer's contract: deterministic, terminating, load-conserving and
 never making the spread worse.
+
+The ``strip`` preset is the one-row tile grid ``(shards, 1)`` under the
+default map.  Its tests check it against the strip arithmetic written
+out below: the clamped ``int((x - min_x) // (width / shards))``.
 """
 
 from __future__ import annotations
+
+import math
 
 import pytest
 from hypothesis import example, given, settings
@@ -18,11 +24,33 @@ from hypothesis import strategies as st
 
 from repro.mobility.geometry import Rect
 from repro.shard.balance import imbalance, rebalance_map, shard_loads
-from repro.shard.partition import (MAX_TILES, PartitionSpec, StripPartition,
-                                   TilePartition, default_tile_map,
-                                   halo_width, plan_tile_grid, spec_for)
+from repro.shard.partition import (MAX_TILES, PartitionSpec, TilePartition,
+                                   default_tile_map, halo_width,
+                                   plan_tile_grid, spec_for)
 
 BOUNDS = Rect(0.0, 0.0, 400.0, 400.0)
+#: Bounds that do not start at the origin.
+OFFSET_BOUNDS = Rect(-100.0, 0.0, 100.0, 50.0)
+
+
+def strips(bounds: Rect, shards: int) -> TilePartition:
+    """The ``strip`` preset (its grid ignores the halo)."""
+    return spec_for("strip", bounds, shards, 1.0).build(bounds, shards)
+
+
+def strip_of(bounds: Rect, shards: int, x: float) -> int:
+    """Reference strip index of ``x``, clamped to the shard range."""
+    index = int((x - bounds.min_x) // (bounds.width / shards))
+    return min(max(index, 0), shards - 1)
+
+
+def strip_route(bounds: Rect, shards: int, x: float,
+                halo: float) -> tuple[int, int, tuple[int, ...]]:
+    """Reference ``route``: strip ``i`` is tile ``i`` and shard ``i``,
+    and a ghost goes to every strip ``[x - halo, x + halo]`` meets."""
+    owner = strip_of(bounds, shards, x)
+    return owner, owner, tuple(range(strip_of(bounds, shards, x - halo),
+                                     strip_of(bounds, shards, x + halo) + 1))
 
 
 class TestHaloWidth:
@@ -45,81 +73,91 @@ class TestHaloWidth:
 
 class TestOwnership:
     def test_interior_points(self):
-        partition = StripPartition(BOUNDS, 4)
-        assert partition.owner_of(0.0) == 0
-        assert partition.owner_of(99.9) == 0
-        assert partition.owner_of(100.0) == 1
-        assert partition.owner_of(399.9) == 3
+        partition = strips(BOUNDS, 4)
+        assert partition.owner_at(0.0, 10.0) == 0
+        assert partition.owner_at(99.9, 10.0) == 0
+        assert partition.owner_at(100.0, 10.0) == 1
+        assert partition.owner_at(399.9, 10.0) == 3
 
     def test_right_edge_belongs_to_last_strip(self):
-        partition = StripPartition(BOUNDS, 4)
-        assert partition.owner_of(400.0) == 3
+        partition = strips(BOUNDS, 4)
+        assert partition.owner_at(400.0, 10.0) == 3
 
     def test_out_of_bounds_clamps_to_edge_strips(self):
-        partition = StripPartition(BOUNDS, 4)
-        assert partition.owner_of(-5.0) == 0
-        assert partition.owner_of(1e9) == 3
+        partition = strips(BOUNDS, 4)
+        assert partition.owner_at(-5.0, 10.0) == 0
+        assert partition.owner_at(1e9, 10.0) == 3
+        # Strips span the whole height, and beyond it.
+        assert partition.owner_at(150.0, -1e9) == 1
+        assert partition.owner_at(150.0, 1e9) == 1
 
     def test_single_shard_owns_everything(self):
-        partition = StripPartition(BOUNDS, 1)
-        assert partition.owner_of(-1.0) == 0
-        assert partition.owner_of(200.0) == 0
-        assert partition.owner_of(401.0) == 0
+        partition = strips(BOUNDS, 1)
+        assert partition.owner_at(-1.0, 10.0) == 0
+        assert partition.owner_at(200.0, 10.0) == 0
+        assert partition.owner_at(401.0, 10.0) == 0
 
     def test_offset_bounds(self):
-        partition = StripPartition(Rect(-100.0, 0.0, 100.0, 50.0), 2)
-        assert partition.owner_of(-100.0) == 0
-        assert partition.owner_of(-0.1) == 0
-        assert partition.owner_of(0.0) == 1
+        partition = strips(OFFSET_BOUNDS, 2)
+        assert partition.owner_at(-100.0, 10.0) == 0
+        assert partition.owner_at(-0.1, 10.0) == 0
+        assert partition.owner_at(0.0, 10.0) == 1
 
     def test_invalid_shard_count_rejected(self):
-        with pytest.raises(ValueError):
-            StripPartition(BOUNDS, 0)
-        with pytest.raises(ValueError):
-            StripPartition(BOUNDS, -3)
+        for shards in (0, -3):
+            with pytest.raises(ValueError):
+                strips(BOUNDS, shards)
+            with pytest.raises(ValueError):
+                TilePartition(BOUNDS, shards, (2, 2))
 
     @given(x=st.floats(min_value=-50.0, max_value=450.0,
                        allow_nan=False, allow_infinity=False),
            shards=st.integers(min_value=1, max_value=9))
     def test_ownership_is_total(self, x, shards):
-        partition = StripPartition(BOUNDS, shards)
-        assert 0 <= partition.owner_of(x) < shards
+        partition = strips(BOUNDS, shards)
+        assert partition.owner_at(x, 10.0) == strip_of(BOUNDS, shards, x)
+        assert 0 <= partition.owner_at(x, 10.0) < shards
 
 
 class TestStripInterval:
+    """Under the ``strip`` preset tile ``i`` is strip ``i``."""
+
     def test_intervals_tile_the_bounds(self):
-        partition = StripPartition(BOUNDS, 4)
-        edges = [partition.strip_interval(i) for i in range(4)]
-        assert edges[0][0] == BOUNDS.min_x
-        assert edges[-1][1] == BOUNDS.max_x
+        partition = strips(BOUNDS, 4)
+        edges = [partition.tile_bounds(i) for i in range(4)]
+        assert edges[0].min_x == BOUNDS.min_x
+        assert edges[-1].max_x == BOUNDS.max_x
         for left, right in zip(edges, edges[1:]):
-            assert left[1] == right[0]
+            assert left.max_x == right.min_x
+        for edge in edges:
+            assert (edge.min_y, edge.max_y) == (BOUNDS.min_y, BOUNDS.max_y)
 
     def test_out_of_range_shard_id_rejected(self):
-        partition = StripPartition(BOUNDS, 4)
+        partition = strips(BOUNDS, 4)
         with pytest.raises(ValueError):
-            partition.strip_interval(4)
+            partition.tile_bounds(4)
         with pytest.raises(ValueError):
-            partition.strip_interval(-1)
+            partition.tile_bounds(-1)
 
 
 class TestShardsWithin:
     def test_interior_device_far_from_borders_stays_home(self):
-        partition = StripPartition(BOUNDS, 4)
-        assert list(partition.shards_within(50.0, 20.0)) == [0]
+        partition = strips(BOUNDS, 4)
+        assert partition.ghost_shards(50.0, 10.0, 20.0) == (0,)
 
     def test_border_device_covers_both_neighbours(self):
-        partition = StripPartition(BOUNDS, 4)
-        assert list(partition.shards_within(100.0, 20.0)) == [0, 1]
+        partition = strips(BOUNDS, 4)
+        assert partition.ghost_shards(100.0, 10.0, 20.0) == (0, 1)
 
     def test_halo_wider_than_strip_spans_several_shards(self):
-        partition = StripPartition(BOUNDS, 8)  # 50 m strips
-        assert list(partition.shards_within(200.0, 120.0)) == [1, 2, 3, 4, 5, 6]
+        partition = strips(BOUNDS, 8)  # 50 m strips
+        assert partition.ghost_shards(200.0, 10.0, 120.0) == (1, 2, 3, 4,
+                                                             5, 6)
 
     def test_negative_halo_rejected(self):
-        partition = StripPartition(BOUNDS, 4)
+        partition = strips(BOUNDS, 4)
         with pytest.raises(ValueError):
-            partition.shards_within(50.0, -1.0)
+            partition.ghost_shards(50.0, 10.0, -1.0)
 
     @given(x=st.floats(min_value=0.0, max_value=400.0,
                        allow_nan=False, allow_infinity=False),
@@ -127,8 +165,9 @@ class TestShardsWithin:
                           allow_nan=False, allow_infinity=False),
            shards=st.integers(min_value=1, max_value=9))
     def test_routing_set_always_contains_the_owner(self, x, halo, shards):
-        partition = StripPartition(BOUNDS, shards)
-        assert partition.owner_of(x) in partition.shards_within(x, halo)
+        partition = strips(BOUNDS, shards)
+        assert partition.owner_at(x, 10.0) in partition.ghost_shards(
+            x, 10.0, halo)
 
 
 # -- tile partitions --------------------------------------------------------
@@ -319,27 +358,44 @@ class TestOnePassRoute:
             partition.ghost_shards(x, y, halo))
 
     @given(shards=st.integers(min_value=1, max_value=9),
+           bounds=st.sampled_from([BOUNDS, OFFSET_BOUNDS]),
            x=st.one_of(coords, st.integers(-2, 11)),
-           y=coords, edge_halo=st.booleans(),
+           ulps=st.sampled_from([-1, 0, 1]),
+           y=coords, edge_halo=st.sampled_from([None, 1.0, 1.5, 2.5]),
            halo=st.floats(min_value=0.0, max_value=200.0,
                           allow_nan=False, allow_infinity=False))
-    def test_strip_route_equals_separate_calls(self, shards, x, y,
-                                               edge_halo, halo):
-        partition = StripPartition(BOUNDS, shards)
+    # The strip edge at x = 100 of four 100 m strips, and one ulp
+    # either side, with a halo of exactly one strip.
+    @example(shards=4, bounds=BOUNDS, x=1, ulps=0, y=10.0, edge_halo=1.0,
+             halo=0.0)
+    @example(shards=4, bounds=BOUNDS, x=1, ulps=-1, y=10.0, edge_halo=1.0,
+             halo=0.0)
+    @example(shards=4, bounds=BOUNDS, x=1, ulps=1, y=10.0, edge_halo=1.0,
+             halo=0.0)
+    def test_strip_route_equals_separate_calls(self, shards, bounds, x,
+                                               ulps, y, edge_halo, halo):
+        """The preset routes as the strip arithmetic does: on strip
+        edges and one ulp either side, over offset bounds, and with
+        halos of one strip or wider."""
+        width = bounds.width / shards
         if isinstance(x, int):  # a strip-edge coordinate
-            x = BOUNDS.min_x + x * partition.strip_width
-        if edge_halo:
-            halo = partition.strip_width
-        strip = partition.owner_of(x)
+            x = bounds.min_x + x * width
+            for _ in range(abs(ulps)):
+                x = math.nextafter(x, math.copysign(math.inf, ulps))
+        if edge_halo is not None:
+            halo = edge_halo * width
+        partition = strips(bounds, shards)
+        assert partition.route(x, y, halo) == strip_route(bounds, shards,
+                                                          x, halo)
         assert partition.route(x, y, halo) == (
-            strip, partition.owner_at(x, y),
+            partition.tile_index(x, y), partition.owner_at(x, y),
             partition.ghost_shards(x, y, halo))
 
     def test_negative_halo_rejected(self):
         with pytest.raises(ValueError):
             TilePartition(BOUNDS, 2, (2, 2)).route(10.0, 10.0, -1.0)
         with pytest.raises(ValueError):
-            StripPartition(BOUNDS, 2).route(10.0, 10.0, -1.0)
+            strips(BOUNDS, 2).route(10.0, 10.0, -1.0)
 
 
 class TestTileMapsAndPlanning:
@@ -363,16 +419,15 @@ class TestTileMapsAndPlanning:
 
     def test_spec_roundtrip(self):
         spec = spec_for("tile", BOUNDS, 4, 70.0)
+        assert spec == PartitionSpec(tiles=plan_tile_grid(BOUNDS, 4, 70.0))
         partition = spec.build(BOUNDS, 4)
-        assert isinstance(partition, TilePartition)
-        assert isinstance(spec_for("strip", BOUNDS, 4, 70.0).build(BOUNDS, 4),
-                          StripPartition)
+        assert (partition.tiles_x, partition.tiles_y) == spec.tiles
+        assert spec_for("strip", BOUNDS, 4, 70.0) == PartitionSpec(
+            tiles=(4, 1))
+        strip = spec_for("strip", BOUNDS, 4, 70.0).build(BOUNDS, 4)
+        assert strip.tile_map == (0, 1, 2, 3)
         with pytest.raises(ValueError):
             spec_for("hex", BOUNDS, 4, 70.0)
-        with pytest.raises(ValueError):
-            PartitionSpec(kind="tile")  # tile grid is mandatory
-        with pytest.raises(ValueError):
-            PartitionSpec(kind="strip", tiles=(2, 2))
 
 
 # -- the greedy rebalancer --------------------------------------------------

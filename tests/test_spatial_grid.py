@@ -1,12 +1,13 @@
-"""Spatial grid + incremental invalidation vs the brute-force oracle.
+"""Spatial grid + incremental invalidation vs a brute-force model.
 
 The grid-backed world and the eviction-based medium must be *exactly*
-equivalent to the ``REPRO_SPATIAL_INDEX=0`` brute-force path: same
-``nodes_within`` results, same reachability verdicts, same neighbour
-listings — across arbitrary interleavings of placements, moves,
-removals and adapter power toggles.  The hypothesis machine below
-drives both implementations side by side with the same operation
-stream and compares every observable after every operation.
+equivalent to an O(N²) model that holds positions and adapter power
+and applies one ``dx*dx + dy*dy <= r*r`` test: same ``nodes_within``
+results, same reachability verdicts, same neighbour listings — across
+arbitrary interleavings of placements, moves, removals and adapter
+power toggles.  The hypothesis machine below drives the world, the
+medium and the model with the same operation stream and compares every
+observable after every operation.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.mobility.geometry import Point, Rect
@@ -22,11 +23,14 @@ from repro.mobility.grid import SpatialGrid
 from repro.mobility.world import DEFAULT_CELL_SIZE, World
 from repro.radio.medium import Medium
 from repro.radio.standards import BLUETOOTH, WLAN
+from repro.radio.technology import Technology
 from repro.simenv import Environment
 
 BOUNDS = Rect(0.0, 0.0, 300.0, 300.0)
 NODE_IDS = tuple(f"n{i}" for i in range(8))
 TECHNOLOGIES = (BLUETOOTH, WLAN)
+#: ``nodes_within`` radii the lockstep compares.
+RADII = (10.0, 60.0, 150.0)
 
 coords = st.floats(min_value=0.0, max_value=300.0,
                    allow_nan=False, allow_infinity=False)
@@ -42,101 +46,109 @@ operations = st.lists(
     min_size=1, max_size=30)
 
 
-def _build(spatial: bool) -> tuple[World, Medium]:
-    env = Environment(seed=7)
-    world = World(env, bounds=BOUNDS,
-                  cell_size=DEFAULT_CELL_SIZE if spatial else None)
-    if not spatial:
-        world._grid = None  # brute-force oracle: no spatial index
-    medium = Medium(world)
-    return world, medium
+def _in_range(a: tuple[float, float], b: tuple[float, float],
+              radius: float) -> bool:
+    dx = b[0] - a[0]
+    dy = b[1] - a[1]
+    return dx * dx + dy * dy <= radius * radius
 
 
-def _attach_all(world: World, medium: Medium, node_id: str) -> None:
-    for technology in TECHNOLOGIES:
-        medium.attach(node_id, technology)
-
-
-def _observables(world: World, medium: Medium) -> dict:
-    """Everything a client could observe, for cross-implementation
-    comparison."""
-    listing: dict = {"nodes": {}}
-    for node in world:
-        listing["nodes"][node.node_id] = (node.position.x, node.position.y)
-    present = sorted(listing["nodes"])
-    for node_id in present:
-        for radius in (10.0, 60.0, 150.0):
-            listing[f"within:{node_id}:{radius}"] = [
-                other.node_id for other in world.nodes_within(node_id, radius)]
-    for technology in TECHNOLOGIES:
-        for node_id in present:
-            listing[f"nbr:{node_id}:{technology.name}"] = \
-                medium.neighbors(node_id, technology.name)
-        for a in present:
-            for b in present:
-                listing[f"reach:{a}:{b}:{technology.name}"] = \
-                    medium.reachable(a, b, technology.name)
-    return listing
-
-
-class _SidePair:
-    """The grid implementation and the brute-force oracle, driven in
-    lockstep."""
+class _Model:
+    """The brute-force reference: positions, adapter power and one
+    in-range test, scanned over every node."""
 
     def __init__(self) -> None:
-        self.grid_world, self.grid_medium = _build(spatial=True)
-        self.brute_world, self.brute_medium = _build(spatial=False)
-        self.alive: set[str] = set()
+        self.positions: dict[str, tuple[float, float]] = {}
+        #: (node id, technology name) -> adapter powered
+        self.powered: dict[tuple[str, str], bool] = {}
+
+    def within(self, node_id: str, radius: float) -> list[str]:
+        center = self.positions[node_id]
+        return sorted(other for other, position in self.positions.items()
+                      if other != node_id
+                      and _in_range(center, position, radius))
+
+    def reachable(self, a: str, b: str, technology: Technology) -> bool:
+        name = technology.name
+        return (a != b and self.powered.get((a, name), False)
+                and self.powered.get((b, name), False)
+                and _in_range(self.positions[a], self.positions[b],
+                              technology.range_m))
+
+    def neighbors(self, node_id: str, technology: Technology) -> list[str]:
+        return [other for other in sorted(self.positions)
+                if self.reachable(node_id, other, technology)]
+
+
+class _Lockstep:
+    """The world and medium, and the model, driven in lockstep."""
+
+    def __init__(self) -> None:
+        self.world = World(Environment(seed=7), bounds=BOUNDS,
+                           cell_size=DEFAULT_CELL_SIZE)
+        self.medium = Medium(self.world)
+        self.model = _Model()
 
     def apply(self, op: tuple) -> None:
-        kind = op[0]
-        if kind == "add":
-            _, node_id, x, y = op
-            if node_id in self.alive:
-                return
-            for world, medium in ((self.grid_world, self.grid_medium),
-                                  (self.brute_world, self.brute_medium)):
-                world.add_node(node_id, Point(x, y))
-                _attach_all(world, medium, node_id)
-            self.alive.add(node_id)
-        elif kind == "move":
-            _, node_id, x, y = op
-            if node_id not in self.alive:
-                return
-            self.grid_world.move_node(node_id, Point(x, y))
-            self.brute_world.move_node(node_id, Point(x, y))
-        elif kind == "remove":
-            _, node_id = op
-            if node_id not in self.alive:
-                return
-            for world, medium in ((self.grid_world, self.grid_medium),
-                                  (self.brute_world, self.brute_medium)):
-                for technology in TECHNOLOGIES:
-                    medium.detach(node_id, technology.name)
-                world.remove_node(node_id)
-            self.alive.discard(node_id)
-        else:  # toggle
-            _, node_id, technology_name = op
-            if node_id not in self.alive:
-                return
-            for medium in (self.grid_medium, self.brute_medium):
-                adapter = medium.adapter(node_id, technology_name)
-                adapter.enabled = not adapter.enabled
+        kind, node_id = op[0], op[1]
+        model = self.model
+        alive = node_id in model.positions
+        if kind == "add" and not alive:
+            _, _, x, y = op
+            self.world.add_node(node_id, Point(x, y))
+            model.positions[node_id] = (x, y)
+            for technology in TECHNOLOGIES:
+                self.medium.attach(node_id, technology)
+                model.powered[(node_id, technology.name)] = True
+        elif kind == "move" and alive:
+            _, _, x, y = op
+            self.world.move_node(node_id, Point(x, y))
+            model.positions[node_id] = (x, y)
+        elif kind == "remove" and alive:
+            for technology in TECHNOLOGIES:
+                self.medium.detach(node_id, technology.name)
+                del model.powered[(node_id, technology.name)]
+            self.world.remove_node(node_id)
+            del model.positions[node_id]
+        elif kind == "toggle" and alive:
+            key = (node_id, op[2])
+            model.powered[key] = not model.powered[key]
+            self.medium.adapter(*key).enabled = model.powered[key]
 
     def check(self) -> None:
-        grid_view = _observables(self.grid_world, self.grid_medium)
-        brute_view = _observables(self.brute_world, self.brute_medium)
-        assert grid_view == brute_view
+        world, medium, model = self.world, self.medium, self.model
+        assert {node.node_id: (node.position.x, node.position.y)
+                for node in world} == model.positions
+        present = sorted(model.positions)
+        for node_id in present:
+            for radius in RADII:
+                assert [other.node_id for other in
+                        world.nodes_within(node_id, radius)] \
+                    == model.within(node_id, radius)
+        for technology in TECHNOLOGIES:
+            for node_id in present:
+                assert medium.neighbors(node_id, technology.name) \
+                    == model.neighbors(node_id, technology)
+            for a in present:
+                for b in present:
+                    assert medium.reachable(a, b, technology.name) \
+                        == model.reachable(a, b, technology)
 
 
 @settings(deadline=None, max_examples=60)
 @given(ops=operations)
+# Two devices a Bluetooth range and a WLAN range from n0, where hypot
+# and the squared test disagree (hypot accepts the first, the squared
+# test the second).
+@example(ops=[("add", "n0", 0.0, 0.0),
+              ("add", "n1", 7.896044033001984, 6.136162369828049),
+              ("add", "n2", 49.90316007295606, 33.311778918768724)])
 def test_grid_and_incremental_match_brute_force_oracle(ops) -> None:
     """Grid + eviction caching is observationally identical to O(N^2)."""
-    pair = _SidePair()
+    lockstep = _Lockstep()
     for op in ops:
-        pair.apply(op)
-        pair.check()
+        lockstep.apply(op)
+        lockstep.check()
 
 
 # -- SpatialGrid unit properties ----------------------------------------------
@@ -185,7 +197,6 @@ def test_cover_reaches_points_the_float_test_accepts() -> None:
 def crowded():
     env = Environment(seed=3)
     world = World(env, bounds=BOUNDS)
-    assert world.grid is not None, "spatial index must be on by default"
     medium = Medium(world)
     for i in range(6):
         node_id = f"d{i}"
@@ -259,23 +270,21 @@ def test_batch_coalesces_to_one_report() -> None:
     env = Environment(seed=1)
     world = World(env, bounds=BOUNDS)
     reports = []
-    ticks = []
     world.on_moves(reports.append)
-    world.on_movement(lambda: ticks.append(1))
     with world.batch():
         for i in range(10):
             world.add_node(f"b{i}", Point(10.0 * i, 10.0))
         world.move_node("b3", Point(35.0, 12.0))
         world.remove_node("b9")
-        assert reports == [] and ticks == []
-    assert len(reports) == 1 and len(ticks) == 1
+        assert reports == []
+    assert len(reports) == 1
     report = reports[0]
     assert report.added == tuple(f"b{i}" for i in range(10))
     assert report.moved == ("b3",)
     assert report.removed == ("b9",)
     with world.batch():
         pass  # nothing changed: listeners must stay silent
-    assert len(reports) == 1 and len(ticks) == 1
+    assert len(reports) == 1
 
 
 def test_stamp_detects_cover_shift_despite_equal_epoch_sums() -> None:

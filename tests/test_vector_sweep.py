@@ -105,19 +105,13 @@ class TestEscapeHatch:
         assert medium._vector_min == VECTOR_SWEEP_MIN_DEVICES
 
     def test_escape_hatch_disables(self, monkeypatch):
-        """Without the spatial grid, or without numpy, a medium never
-        sweeps, whatever the threshold."""
-        monkeypatch.setenv("REPRO_SPATIAL_INDEX", "0")
+        """Without numpy a medium never sweeps, whatever the threshold."""
+        monkeypatch.setattr(sweep, "_np", None)
         world, medium = _build(1)
-        assert world.grid is None
         assert medium._vector_min is None
         _populate(world, medium)
         _listings(medium)
         assert medium._sweeps == {}
-        monkeypatch.delenv("REPRO_SPATIAL_INDEX")
-        monkeypatch.setattr(sweep, "_np", None)
-        _, medium = _build(1)
-        assert medium._vector_min is None
 
     def test_scalar_medium_never_sweeps(self):
         world, medium = _build(NEVER)
@@ -247,7 +241,6 @@ class TestLockstep:
                     world.add_node(node_id, Point(x, y))
                     for technology in TECHNOLOGIES:
                         medium.attach(node_id, technology)
-            assert world.grid is not None
             assert world.grid.cell_size == WLAN.range_m
             listings.append({(node_id, technology.name):
                              medium.neighbors(node_id, technology.name)
