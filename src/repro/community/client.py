@@ -29,6 +29,7 @@ from repro.community.connections import PeerConnectionPool
 from repro.community.profile import MailMessage, ProfileStore
 from repro.msc.trace import MscRecorder
 from repro.net.connection import Connection
+from repro.net.messages import frame_size
 from repro.net.retry import (
     DEFAULT_CLIENT_POLICY,
     AttemptTimeoutError,
@@ -197,6 +198,9 @@ class CommunityClient:
         outcome is recorded in :attr:`last_exchange`.
         """
         operation = str(request.get("op", "?"))
+        # Measured once (FrameError surfaces before any peer is
+        # charged); every send still hands its peer its own copy.
+        nbytes = frame_size(request)
         policy = self.retry_policy
         targets = self.library.devices_with_service(self.pool.service_name)
         pending = list(targets)
@@ -221,7 +225,7 @@ class CommunityClient:
                 attempts += 1
                 try:
                     connection = yield from self.pool.ensure(device_id)
-                    connection.send(request)
+                    connection.send(request, nbytes)
                 except RETRYABLE_ERRORS as exc:
                     self._note_failure(device_id, exc)
                     failed.append(device_id)

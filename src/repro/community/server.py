@@ -103,22 +103,7 @@ class CommunityService:
     # -- dispatch (Table 6) -------------------------------------------------------
 
     def _dispatch(self, op: str, params: dict) -> dict:
-        handlers = {
-            protocol.PS_GETONLINEMEMBERLIST: self._handle_online_members,
-            protocol.PS_GETINTERESTLIST: self._handle_interest_list,
-            protocol.PS_GETINTERESTEDMEMBERLIST: self._handle_interested_members,
-            protocol.PS_GETPROFILE: self._handle_get_profile,
-            protocol.PS_ADDPROFILECOMMENT: self._handle_add_comment,
-            protocol.PS_CHECKMEMBERID: self._handle_check_member_id,
-            protocol.PS_MSG: self._handle_message,
-            protocol.PS_SHAREDCONTENT: self._handle_shared_content,
-            protocol.PS_GETTRUSTEDFRIEND: self._handle_trusted_friends,
-            protocol.PS_CHECKTRUSTED: self._handle_check_trusted,
-            protocol.PS_GETSHAREDCONTENT: self._handle_get_shared_content,
-            protocol.PS_ADDTRUSTED: self._handle_add_trusted,
-            PS_GETFILECHUNK: self.file_service.handle_chunk_request,
-        }
-        return handlers[op](params)
+        return self._HANDLERS[op](self, params)
 
     def _active_or_none(self) -> Profile | None:
         return self.store.active
@@ -262,6 +247,27 @@ class CommunityService:
             active.add_trusted(requester)
             return protocol.make_response(protocol.SUCCESSFULLY_WRITTEN)
         return protocol.make_response(protocol.UNSUCCESSFULL)
+
+    def _handle_file_chunk(self, params: dict) -> dict:
+        """One chunk of a shared file (the bulk-transfer extension)."""
+        return self.file_service.handle_chunk_request(params)
+
+    #: Operation -> handler, built once with the class.
+    _HANDLERS: dict[str, Callable[[CommunityService, dict], dict]] = {
+        protocol.PS_GETONLINEMEMBERLIST: _handle_online_members,
+        protocol.PS_GETINTERESTLIST: _handle_interest_list,
+        protocol.PS_GETINTERESTEDMEMBERLIST: _handle_interested_members,
+        protocol.PS_GETPROFILE: _handle_get_profile,
+        protocol.PS_ADDPROFILECOMMENT: _handle_add_comment,
+        protocol.PS_CHECKMEMBERID: _handle_check_member_id,
+        protocol.PS_MSG: _handle_message,
+        protocol.PS_SHAREDCONTENT: _handle_shared_content,
+        protocol.PS_GETTRUSTEDFRIEND: _handle_trusted_friends,
+        protocol.PS_CHECKTRUSTED: _handle_check_trusted,
+        protocol.PS_GETSHAREDCONTENT: _handle_get_shared_content,
+        protocol.PS_ADDTRUSTED: _handle_add_trusted,
+        PS_GETFILECHUNK: _handle_file_chunk,
+    }
 
     # -- tracing -------------------------------------------------------------
 

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from collections.abc import Iterable
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class MscEvent:
+class MscEvent(NamedTuple):
     """One element of a message sequence chart.
+
+    A named tuple, not a frozen dataclass: two are recorded per PS_*
+    exchange, and a dataclass pays ``object.__setattr__`` per field.
+    Still immutable and hashable, and equal only to another
+    :class:`MscEvent`, never to a plain tuple.
 
     Attributes:
         time: Virtual time of the event.
@@ -24,6 +28,14 @@ class MscEvent:
     source: str
     target: str
     label: str
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is MscEvent and tuple.__eq__(self, other)
+
+    def __ne__(self, other: object) -> bool:
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 class MscRecorder:

@@ -58,8 +58,12 @@ class Connection:
 
     # -- sending -------------------------------------------------------------
 
-    def send(self, payload: Any) -> float:
+    def send(self, payload: Any, nbytes: int | None = None) -> float:
         """Transmit ``payload`` to the peer.
+
+        ``nbytes`` is the payload's :func:`~repro.net.messages.frame_size`
+        when the caller already measured it (a broadcast sends one
+        request to many peers); the frame is then not encoded again.
 
         Returns the simulated seconds the transfer will take.  Raises
         :class:`ConnectionClosedError` on a closed connection and
@@ -86,10 +90,9 @@ class Connection:
             raise NotReachableError(
                 f"link {self.local_id}->{self.remote_id} over "
                 f"{self.technology.name} dropped mid-stream (injected)")
-        # One encode + one decode: the frame's byte count prices the
-        # transfer, the decode hands the peer a decoupled copy (as a
-        # real socket would).
-        nbytes, decoded = wire_copy(payload)
+        # The frame's byte count prices the transfer; the peer gets a
+        # decoupled copy (as a real socket would).
+        nbytes, decoded = wire_copy(payload, nbytes)
         technology = self.technology
         attempts = (1 if technology.frame_loss_rate <= 0.0
                     else self._transmission_attempts())

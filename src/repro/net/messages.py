@@ -40,19 +40,25 @@ class FrameError(ValueError):
     """Raised for malformed or oversized frames."""
 
 
-def _encode_body(payload: Any) -> bytes:
+def _encode_text(payload: Any) -> str:
+    """Canonical body text of one frame, checked for both frame errors.
+
+    Canonical frames are pure ASCII (``ensure_ascii``), so the text
+    length *is* the body byte count.
+    """
     try:
-        return _ENCODER.encode(payload).encode()
+        text = _ENCODER.encode(payload)
     except (TypeError, ValueError) as exc:
         raise FrameError(f"payload not serialisable: {exc}") from exc
+    if len(text) > MAX_FRAME_BYTES:
+        raise FrameError(f"frame of {len(text)} bytes exceeds {MAX_FRAME_BYTES}")
+    return text
 
 
 def serialize(payload: Any) -> bytes:
     """Encode ``payload`` as a length-prefixed canonical-JSON frame."""
-    body = _encode_body(payload)
-    if len(body) > MAX_FRAME_BYTES:
-        raise FrameError(f"frame of {len(body)} bytes exceeds {MAX_FRAME_BYTES}")
-    return _LENGTH.pack(len(body)) + body
+    text = _encode_text(payload)
+    return _LENGTH.pack(len(text)) + text.encode()
 
 
 def serialize_into(payload: Any, buffer: bytearray) -> int:
@@ -65,15 +71,8 @@ def serialize_into(payload: Any, buffer: bytearray) -> int:
     and the only transient left on the happy path is the encoder's
     output text itself.  Returns the frame length.
     """
-    try:
-        text = _ENCODER.encode(payload)
-    except (TypeError, ValueError) as exc:
-        raise FrameError(f"payload not serialisable: {exc}") from exc
-    # Canonical frames are pure ASCII (ensure_ascii), so the text
-    # length *is* the body byte count.
+    text = _encode_text(payload)
     length = len(text)
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(f"frame of {length} bytes exceeds {MAX_FRAME_BYTES}")
     if len(buffer) < _LENGTH.size:
         buffer[:] = b"\x00\x00\x00\x00"
     buffer[_LENGTH.size:] = text.encode()
@@ -106,8 +105,13 @@ def deserialize(frame: bytes | bytearray) -> Any:
 
 
 def frame_size(payload: Any) -> int:
-    """Bytes the payload occupies on the wire (prefix included)."""
-    return _LENGTH.size + len(_encode_body(payload))
+    """Bytes the payload occupies on the wire (prefix included).
+
+    Raises :class:`FrameError` exactly where :func:`serialize` would,
+    so a sender that measures once (a broadcast) can hand the count to
+    every :func:`wire_copy` of the same payload.
+    """
+    return _LENGTH.size + len(_encode_text(payload))
 
 
 class _NotPlainJson(Exception):
@@ -139,7 +143,7 @@ def _copy_json(value: Any) -> Any:
     raise _NotPlainJson
 
 
-def wire_copy(payload: Any) -> tuple[int, Any]:
+def wire_copy(payload: Any, nbytes: int | None = None) -> tuple[int, Any]:
     """``(wire bytes incl. prefix, deep copy)`` for one message.
 
     The simulated :class:`~repro.net.connection.Connection` needs both
@@ -147,19 +151,20 @@ def wire_copy(payload: Any) -> tuple[int, Any]:
     copy of the payload for the receiver (mutations on one side must
     not leak to the other, exactly as over a real socket).  The encode
     still runs — the byte count must match :func:`serialize` exactly or
-    simulated transfer times drift — but the receiver's copy is built
-    structurally, skipping the JSON parse on the per-message hot path;
-    payloads that JSON would coerce (tuples, non-str keys) take the
-    round-trip fallback so the copy always equals ``decode(encode())``.
+    simulated transfer times drift — unless the caller already measured
+    the payload with :func:`frame_size` and passes that count as
+    ``nbytes``.  The receiver's copy is built structurally, skipping the
+    JSON parse on the per-message hot path; payloads that JSON would
+    coerce (tuples, non-str keys) take the round-trip fallback so the
+    copy always equals ``decode(encode())``.
     """
-    try:
-        text = _ENCODER.encode(payload)
-    except (TypeError, ValueError) as exc:
-        raise FrameError(f"payload not serialisable: {exc}") from exc
-    if len(text) > MAX_FRAME_BYTES:
-        raise FrameError(f"frame of {len(text)} bytes exceeds {MAX_FRAME_BYTES}")
+    text: str | None = None
+    if nbytes is None:
+        text = _encode_text(payload)
+        nbytes = _LENGTH.size + len(text)
     try:
         copy = _copy_json(payload)
     except _NotPlainJson:
-        copy = _DECODER.decode(text)
-    return _LENGTH.size + len(text), copy
+        copy = _DECODER.decode(_ENCODER.encode(payload) if text is None
+                               else text)
+    return nbytes, copy

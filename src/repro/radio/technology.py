@@ -70,12 +70,6 @@ class Technology:
         """Monetary cost of transferring ``nbytes``."""
         return self.cost_per_mb * (nbytes / 1_000_000.0)
 
-    def in_range(self, distance_m: float) -> bool:
-        """Whether two devices ``distance_m`` apart can communicate."""
-        if self.range_m is None:
-            return True
-        return distance_m <= self.range_m
-
     def link_quality(self, distance_m: float) -> float:
         """Signal quality in [0, 1]; 0 means out of range.
 

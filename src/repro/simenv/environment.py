@@ -86,31 +86,37 @@ class Environment:
 
     # -- running ---------------------------------------------------------
 
-    def run(self, until: float | None = None) -> float:
-        """Run events until the queue empties or ``until`` is reached.
+    def run(self, until: float | None = None,
+            stop: Signal | None = None) -> float:
+        """Run events until the queue empties, ``until`` is reached or
+        ``stop`` fires.
 
-        Returns the virtual time at which the run stopped.  If any
-        process died with an unobserved exception during the run, a
+        Returns the virtual time at which the run stopped.  A run that
+        ends before ``until`` advances the clock to it, unless it was
+        given a ``stop`` signal: such a run waits for the signal, so the
+        clock stays at the last event fired.  If any process died with
+        an unobserved exception during the run, a
         :class:`SimulationError` chaining the first failure is raised —
         errors never pass silently.
         """
         self._raise_pending_failure()
         queue = self.queue
         clock = self.clock
-        while True:
+        failures = self._failures
+        while stop is None or not stop._fired:
             event = queue.pop_before(until)
             if event is None:
                 break
             clock.advance_to(event.time)
             event.callback()
-            if self._failures:
+            if failures:
                 self._raise_pending_failure()
             # Recycle the fired event when nobody else holds a handle
             # (refcount 2 = the local + getrefcount's argument), so
             # steady-state scheduling stops allocating.
             if getrefcount(event) == 2:
                 queue.release(event)
-        if until is not None and clock.now < until:
+        if stop is None and until is not None and clock.now < until:
             clock.advance_to(until)
         return clock.now
 
@@ -145,8 +151,9 @@ class Environment:
         re-raise the exception themselves) call this so the event loop
         does not raise :class:`SimulationError` for the same failure.
         """
-        self._failures = [(failed, exc) for failed, exc in self._failures
-                          if failed is not process]
+        # In place: a running loop holds this list.
+        self._failures[:] = [(failed, exc) for failed, exc in self._failures
+                             if failed is not process]
 
     def __repr__(self) -> str:
         return f"Environment(now={self.now:.6f}, pending={len(self.queue)})"

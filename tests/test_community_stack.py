@@ -7,7 +7,10 @@ import pytest
 
 from repro.community import protocol
 from repro.eval.testbed import Testbed
+from repro.eval.workloads import populate_neighborhood
 from repro.mobility import LinearCrossing, Point
+from repro.net import messages
+from repro.net.messages import FrameError, deserialize, serialize
 
 
 class TestClientServerOperations:
@@ -118,6 +121,111 @@ class TestClientServerOperations:
         before = bob.app.server.requests_served
         bed.execute(trio[0].app.view_all_members())
         assert bob.app.server.requests_served == before + 1
+
+
+class TestBroadcastEncodesOnce:
+    """A broadcast measures its request once; every server gets a copy."""
+
+    @pytest.fixture
+    def room(self):
+        bed = Testbed(seed=17, technologies=("wlan",))
+        members = populate_neighborhood(bed, 6, shared_interest="music")
+        bed.run(30.0)
+        client = members[0].app.client
+        bed.execute(client.get_online_members())  # opens the pooled links
+        yield bed, client, [member.device_id for member in members[1:]]
+        bed.stop()
+
+    @staticmethod
+    def _charges(bed, device_id):
+        """Bytes the medium records for ``device_id`` from now on."""
+        charged = []
+        record = bed.medium.record_transfer
+
+        def spy(sender, technology_name, nbytes):
+            if sender == device_id:
+                charged.append(nbytes)
+            record(sender, technology_name, nbytes)
+
+        bed.medium.record_transfer = spy
+        return charged
+
+    @staticmethod
+    def _received(bed, targets):
+        """Requests each target's server handles from now on."""
+        received = []
+        for device_id in targets:
+            server = bed.members[device_id].app.server
+            handle = server.handle_request
+
+            def spy(payload, remote_id="?", handle=handle):
+                received.append(payload)
+                return handle(payload, remote_id)
+
+            server.handle_request = spy
+        return received
+
+    def test_each_target_is_charged_the_serialized_frame(self, room):
+        bed, client, targets = room
+        request = protocol.make_request(protocol.PS_GETINTERESTLIST)
+        connections = [client.pool.connection_to(device_id)
+                       for device_id in targets]
+        before = [connection.bytes_sent for connection in connections]
+        charged = self._charges(bed, client.device_id)
+        replies = bed.execute(client._broadcast(request))
+        size = len(serialize(request))
+        assert len(replies) == len(targets) == 5
+        assert [connection.bytes_sent - sent for connection, sent
+                in zip(connections, before)] == [size] * 5
+        assert charged == [size] * 5
+
+    def test_each_server_gets_its_own_copy(self, room):
+        bed, client, targets = room
+        request = protocol.make_request(protocol.PS_GETONLINEMEMBERLIST)
+        request["nested"] = {"tags": ["a", "b"]}
+        received = self._received(bed, targets)
+        bed.execute(client._broadcast(request))
+        assert len(received) == 5
+        assert all(payload == request and payload is not request
+                   for payload in received)
+        assert len({id(payload["nested"]["tags"]) for payload in received}) == 5
+        received[0]["nested"]["tags"].append("c")
+        received[1]["op"] = "changed"
+        assert request == {"op": protocol.PS_GETONLINEMEMBERLIST,
+                           "nested": {"tags": ["a", "b"]}}
+        assert all(payload == request for payload in received[2:])
+
+    def test_tuple_arrives_as_decoded_json(self, room):
+        bed, client, targets = room
+        request = protocol.make_request(protocol.PS_GETONLINEMEMBERLIST)
+        request["pair"] = ("x", [1, 2])
+        received = self._received(bed, targets)
+        bed.execute(client._broadcast(request))
+        expected = deserialize(serialize(request))
+        assert expected["pair"] == ["x", [1, 2]]
+        assert len(received) == 5
+        assert all(payload == expected for payload in received)
+
+    @pytest.mark.parametrize("fault", ["unserialisable", "oversized"])
+    def test_frame_error_before_any_target_is_charged(self, room,
+                                                      monkeypatch, fault):
+        bed, client, _ = room
+        request = protocol.make_request(protocol.PS_GETONLINEMEMBERLIST)
+        if fault == "oversized":
+            monkeypatch.setattr(messages, "MAX_FRAME_BYTES", 64)
+            request["blob"] = "x" * 64
+        else:
+            request["blob"] = object()
+        charged = self._charges(bed, client.device_id)
+        attempts = client.retry_counters.attempts
+        sent = client.requests_sent
+        now = bed.env.now
+        with pytest.raises(FrameError):
+            bed.execute(client._broadcast(request))
+        assert charged == []
+        assert client.retry_counters.attempts == attempts
+        assert client.requests_sent == sent
+        assert bed.env.now == now
 
 
 class TestDynamicGroupDiscovery:

@@ -4,6 +4,8 @@ ablations, the paper testbed catalogue and reporting."""
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.eval.ablations import (
     run_scan_interval_sweep,
@@ -24,6 +26,7 @@ from repro.eval.table8 import (
 )
 from repro.eval.testbed import Testbed
 from repro.eval.workloads import populate_neighborhood, random_interests
+from repro.simenv import Delay, Signal, WaitSignal
 from repro.sns.devices import NOKIA_N810
 from repro.sns.sites import FACEBOOK_2008
 
@@ -76,6 +79,118 @@ class TestTestbed:
         bed = Testbed(seed=1, technologies=("gprs",))
         assert bed.medium.has_gateway("gprs")
         bed.stop()
+
+    def test_execute_idle_raises_without_reaching_deadline(self, bed):
+        bed.world.stop()
+        bed.run(1.0)
+        start = bed.env.now
+
+        def stuck():
+            yield WaitSignal(Signal("never"))
+
+        with pytest.raises(RuntimeError, match="idle"):
+            bed.execute(stuck(), timeout=600.0)
+        assert bed.env.now < start + 600.0
+
+    def test_execute_returns_at_completion_not_deadline(self, bed):
+        start = bed.env.now
+
+        def short():
+            yield Delay(1.25)
+            return "done"
+
+        assert bed.execute(short(), timeout=600.0) == "done"
+        assert bed.env.now == start + 1.25
+        assert bed.env.queue.peek_time() == start + 1.5  # next world tick
+
+
+def _step_loop_execute(bed: Testbed, generator, timeout: float):
+    """``Testbed.execute`` as one ``env.step()`` per event: the reference."""
+    env = bed.env
+    process = env.spawn(generator, name="testbed.execute")
+    env.acknowledge_failure(process)
+    process.done.wait(lambda _value: None)
+    deadline = env.now + timeout
+    while process.alive:
+        if not env.step():
+            raise RuntimeError("simulation went idle with the "
+                               "operation still pending")
+        if env.now > deadline:
+            raise TimeoutError(
+                f"operation still running after {timeout} simulated seconds")
+    return process.result
+
+
+def _run_loop_execute(bed: Testbed, generator, timeout: float):
+    return bed.execute(generator, timeout=timeout)
+
+
+_times = st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.5, 6.0]),
+                   st.floats(0.0, 12.0, allow_nan=False))
+_steps = st.lists(st.one_of(
+    st.tuples(st.just("delay"), _times),
+    st.tuples(st.just("wait"), st.integers(0, 2)),
+    st.tuples(st.just("child"), _times),
+    st.tuples(st.just("fail"), st.just(0.0))), max_size=6)
+_schedules = st.fixed_dictionaries({
+    "stop_world": st.booleans(),
+    "timers": st.lists(_times, max_size=6),
+    "signals": st.lists(st.one_of(st.none(), _times), min_size=3, max_size=3),
+    "ops": st.lists(st.tuples(_steps, st.one_of(
+        st.sampled_from([0.0, 1.0, 5.0, 600.0]),
+        st.floats(0.0, 20.0, allow_nan=False))), min_size=1, max_size=2),
+})
+
+
+def _replay(schedule: dict, execute) -> list:
+    """Run ``schedule``'s ops through ``execute``; what each left behind."""
+    bed = Testbed(seed=5)
+    env = bed.env
+    if schedule["stop_world"]:
+        bed.world.stop()
+    log: list = []
+    for when in schedule["timers"]:
+        env.call_in(when, log.append, when)
+    signals = [Signal(f"s{index}") for index in range(3)]
+    for signal, when in zip(signals, schedule["signals"]):
+        if when is not None:
+            env.call_in(when, signal.fire, when)
+
+    def child(seconds):
+        yield Delay(seconds)
+        return env.now
+
+    def op(steps):
+        seen = []
+        for kind, value in steps:
+            if kind == "delay":
+                yield Delay(value)
+            elif kind == "wait":
+                seen.append((yield WaitSignal(signals[int(value)])))
+            elif kind == "child":
+                seen.append((yield env.spawn(child(value))))
+            else:
+                raise ValueError(f"op failed at {env.now}")
+            seen.append(env.now)
+        return seen
+
+    outcomes = []
+    for steps, timeout in schedule["ops"]:
+        try:
+            result = ("ok", execute(bed, op(steps), timeout))
+        except (RuntimeError, TimeoutError, ValueError) as exc:
+            result = (type(exc).__name__, str(exc))
+        outcomes.append((result, env.now, env.events_processed,
+                         env.queue.peek_time()))
+    return [outcomes, log]
+
+
+class TestExecuteOnTheRunLoop:
+    @settings(deadline=None, max_examples=200)
+    @given(schedule=_schedules)
+    def test_matches_the_step_loop(self, schedule):
+        assert (_replay(schedule, _run_loop_execute)
+                == _replay(schedule, _step_loop_execute))
 
 
 class TestWorkloads:

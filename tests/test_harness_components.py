@@ -90,7 +90,7 @@ class TestRadioExtras:
     def test_rfid_is_near_field(self):
         techs = all_technologies()
         assert techs["rfid"].range_m <= 1.0
-        assert not techs["rfid"].in_range(2.0)
+        assert techs["rfid"].link_quality(2.0) == 0.0
 
     def test_gprs_adapter_costs_accumulate_through_stack(self):
         bed = Testbed(seed=311, technologies=("gprs",))

@@ -31,11 +31,11 @@ class TestTechnology:
             BLUETOOTH.transfer_time(-1)
 
     def test_in_range(self):
-        assert BLUETOOTH.in_range(9.9)
-        assert not BLUETOOTH.in_range(10.1)
+        assert BLUETOOTH.link_quality(9.9) > 0.0
+        assert BLUETOOTH.link_quality(10.1) == 0.0
 
     def test_wide_area_always_in_range(self):
-        assert GPRS.in_range(1e9)
+        assert GPRS.link_quality(1e9) == 1.0
 
     def test_link_quality_monotone_decreasing(self):
         qualities = [BLUETOOTH.link_quality(d) for d in (0.0, 3.0, 7.0, 9.9)]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simenv import Environment, EventQueue, SimClock, SimulationError
+from repro.simenv import Environment, EventQueue, Signal, SimClock, SimulationError
 from repro.simenv.clock import SimClock as Clock
 from repro.simenv.events import _COMPACT_MIN_CANCELLED
 
@@ -260,6 +260,28 @@ class TestEnvironment:
     def test_run_until_advances_clock_when_idle(self, env: Environment):
         env.run(until=7.0)
         assert env.now == 7.0
+
+    def test_run_ends_when_stop_fires(self, env: Environment):
+        stop = Signal("stop")
+        fired = []
+        for when in (1.0, 2.0, 3.0):
+            env.call_in(when, fired.append, when)
+        env.call_in(2.0, stop.fire)
+        assert env.run(until=10.0, stop=stop) == 2.0
+        assert fired == [1.0, 2.0]
+        assert env.queue.peek_time() == 3.0
+
+    def test_run_with_fired_stop_fires_nothing(self, env: Environment):
+        stop = Signal("stop")
+        stop.fire()
+        env.call_in(1.0, lambda: None)
+        assert env.run(until=10.0, stop=stop) == 0.0
+        assert env.events_processed == 0
+
+    def test_run_with_stop_keeps_clock_when_idle(self, env: Environment):
+        env.call_in(1.0, lambda: None)
+        assert env.run(until=10.0, stop=Signal("never")) == 1.0
+        assert env.now == 1.0
 
     def test_call_at_in_past_rejected(self, env: Environment):
         env.call_in(1.0, lambda: None)
