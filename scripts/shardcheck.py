@@ -11,7 +11,7 @@ summary under ``--artifacts`` for CI upload, and exits 1.
 Run:
     PYTHONPATH=src python scripts/shardcheck.py                  # n64 + n256
     PYTHONPATH=src python scripts/shardcheck.py --shards 7 \\
-        --scenario discovery_n1024 --artifacts /tmp/sharddiff
+        --scenario crowd_n1024 --artifacts /tmp/sharddiff
     PYTHONPATH=src python scripts/shardcheck.py --partition tile \\
         --rebalance --scenario crowd_clustered_n256      # tile + rebalancer
 
@@ -35,21 +35,20 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.eval.bench import SHARDED_SCENARIOS  # noqa: E402
-from repro.shard import (PARTITION_KINDS, ShardedResult,  # noqa: E402
-                         ShardedRunner, compare_results,
+from repro.shard import (PARTITION_KINDS, SCENARIOS,  # noqa: E402
+                         ShardedResult, ShardedRunner, compare_results,
                          write_divergence_artifacts)
 
 #: Default scenarios: big enough for real border traffic, small enough
 #: to keep the full interaction logs cheap to collect and compare.
-DEFAULT_SCENARIOS = ("discovery_n64", "discovery_n256")
+DEFAULT_SCENARIOS = ("crowd_n64", "crowd_n256")
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         description="Check sharded runs against the single-shard run.")
     parser.add_argument("--scenario", action="append", dest="scenarios",
-                        metavar="NAME", choices=sorted(SHARDED_SCENARIOS),
+                        metavar="NAME", choices=sorted(SCENARIOS),
                         help="scenario to check (repeatable; default "
                              f"{', '.join(DEFAULT_SCENARIOS)})")
     parser.add_argument("--shards", type=int, default=4, metavar="N",
@@ -75,7 +74,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
 def _timed_run(name: str, *, shards: int, processes: bool, partition: str,
                rebalance: bool) -> tuple[ShardedResult, float]:
-    runner = ShardedRunner(SHARDED_SCENARIOS[name], shards,
+    runner = ShardedRunner(SCENARIOS[name], shards,
                            processes=processes, collect_logs=True,
                            verify_ghosts=True, partition=partition,
                            rebalance=rebalance)

@@ -34,7 +34,6 @@ from repro.net.retry import (
     RetryPolicy,
     is_degraded,
     recv_with_timeout,
-    wait_process_with_timeout,
 )
 from repro.net.stack import (
     ListenerExistsError,
@@ -76,5 +75,4 @@ __all__ = [
     "is_degraded",
     "recv_with_timeout",
     "serialize",
-    "wait_process_with_timeout",
 ]

@@ -13,9 +13,8 @@ gives every protocol layer a shared vocabulary for surviving that:
 * :class:`Degraded` — the typed result an operation returns when its
   retry budget is exhausted.  Callers get *data about the failure*
   instead of an exception tearing down the workflow.
-* :func:`recv_with_timeout` / :func:`wait_process_with_timeout` —
-  race helpers turning an unbounded wait into a bounded one inside the
-  generator-process kernel.
+* :func:`recv_with_timeout` — a race helper turning an unbounded
+  receive into a bounded one inside the generator-process kernel.
 
 Nothing here sleeps wall-clock time; every delay is virtual and every
 jitter draw is reproducible from the environment's root seed.
@@ -31,7 +30,7 @@ from repro.simenv import Signal, WaitSignal
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.connection import Connection
-    from repro.simenv import Environment, Process
+    from repro.simenv import Environment
 
 
 class AttemptTimeoutError(ConnectionError):
@@ -266,23 +265,3 @@ def recv_with_timeout(env: Environment, connection: Connection,
             f"no reply from {connection.remote_id!r} within {timeout_s}s")
     return payload
 
-
-def wait_process_with_timeout(env: Environment, process: Process,
-                              timeout_s: float | None) -> Generator:
-    """Process generator: wait for ``process`` or kill it on timeout.
-
-    Returns the process result (re-raising its exception).  On timeout
-    the child is killed and :class:`AttemptTimeoutError` raised.
-    """
-    if timeout_s is None:
-        result = yield process
-        return result
-    # The caller observes process.result itself (re-raising failures),
-    # so the kernel must not also report the failure as unobserved.
-    env.acknowledge_failure(process)
-    outcome = yield WaitSignal(_race(env, process.done, timeout_s))
-    if outcome is _TIMED_OUT:
-        process.kill()
-        raise AttemptTimeoutError(
-            f"process {process.name!r} still running after {timeout_s}s")
-    return process.result

@@ -48,8 +48,8 @@ from repro.shard.equivalence import (compare_results, interaction_digests,
 from repro.shard.partition import (PARTITION_KINDS, PartitionSpec,
                                    TilePartition, default_tile_map,
                                    halo_width, plan_tile_grid, spec_for)
-from repro.shard.runner import (ClusteredWorkload, ShardedResult,
-                                ShardedRunner, ShardWorkload,
+from repro.shard.runner import (SCENARIOS, ClusteredWorkload,
+                                ShardedResult, ShardedRunner, ShardWorkload,
                                 clustered_workload, crowd_workload,
                                 reference_run)
 
@@ -60,6 +60,7 @@ __all__ = [
     "PARTITION_KINDS",
     "PartitionSpec",
     "REBALANCE_THRESHOLD",
+    "SCENARIOS",
     "SeededWalk",
     "ShardConfig",
     "ShardSim",

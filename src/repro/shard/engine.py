@@ -101,9 +101,6 @@ class ShardConfig:
     rebalance: bool = False
     #: ``max/mean`` shard-load ratio that triggers a rebalance.
     rebalance_threshold: float = REBALANCE_THRESHOLD
-    #: Workers wrap their run in gc/tracemalloc accounting and attach
-    #: an ``alloc`` dict to their report (the ``--alloc`` pass).
-    measure_alloc: bool = False
 
     def boundaries(self) -> list[float]:
         """Window-edge times: multiples of ``window`` up to the end.

@@ -76,38 +76,6 @@ def _rss_mb() -> float:
     return peak / 1024.0
 
 
-def _alloc_begin() -> list:
-    """Start gc/tracemalloc accounting (the ``--alloc`` pass).
-
-    Runs inside each worker process so the figures are genuinely
-    per-shard; the timed benchmark pass never carries this overhead.
-    """
-    import gc
-    import tracemalloc
-    gc.collect()
-    before = gc.get_stats()
-    tracemalloc.start()
-    return before
-
-
-def _alloc_end(before: list) -> dict[str, int]:
-    """Finish the accounting started by :func:`_alloc_begin`."""
-    import gc
-    import tracemalloc
-    _, peak = tracemalloc.get_traced_memory()
-    tracemalloc.stop()
-    after = gc.get_stats()
-
-    def delta(key: str) -> int:
-        return (sum(stats[key] for stats in after)
-                - sum(stats[key] for stats in before))
-
-    return {"gc_collections": delta("collections"),
-            "gc_collected": delta("collected"),
-            "gc_uncollectable": delta("uncollectable"),
-            "tracemalloc_peak_kb": peak // 1024}
-
-
 @dataclass(frozen=True)
 class ShardWorkload:
     """Shard-count-independent description of one sharded scenario."""
@@ -221,6 +189,57 @@ def clustered_workload(count: int, *, seed: int = 11,
                              **overrides)
 
 
+#: Named sharded workloads, read by ``scripts/shardcheck.py`` and CI's
+#: scaling curves.  ``crowd_nN`` is an N-device crowd at the density of
+#: :func:`repro.eval.workloads.crowd_bounds`, on the shard kernel's own
+#: walkers and radio; ``crowd_n100k`` and the stretch ``city_n1M`` are
+#: what the sharded engine is *for*.
+SCENARIOS: dict[str, ShardWorkload] = {
+    "crowd_n4": crowd_workload(4, seed=11, sim_seconds=30.0),
+    "crowd_n16": crowd_workload(16, seed=11, sim_seconds=30.0),
+    "crowd_n64": crowd_workload(64, seed=11, sim_seconds=30.0),
+    "crowd_n256": crowd_workload(256, seed=11, sim_seconds=30.0),
+    "crowd_n1024": crowd_workload(1024, seed=11, sim_seconds=30.0),
+    "crowd_n100k": crowd_workload(100_000, seed=11, sim_seconds=12.0),
+    "city_n1M": crowd_workload(1_000_000, seed=11, sim_seconds=4.0,
+                               scan_interval=2.0, window=2.0),
+    # Clustered (hotspot) variants: the adversarial case for the strip
+    # partition.  The hotspots line up along a vertical "main street"
+    # (tight horizontal spread, wide vertical spread), so one strip
+    # does nearly all the scan work while a 2D tiling can still
+    # separate the clusters by row.  The 1 s window gives the
+    # rebalancer (one window of loads + one window of adoption lag)
+    # time to level the map while most scan rounds are still ahead.
+    # ``flash_city_n1M`` adds drift: the hotspots themselves migrate
+    # across the map (a moving flash crowd), so no static assignment
+    # stays good and the rebalancer has to keep up.
+    # (Seed 13, not 11: seed 11 happens to park the main street dead
+    # on a strip boundary, halving the very imbalance these scenarios
+    # exist to exhibit.)
+    "crowd_clustered_n256": clustered_workload(256, seed=13,
+                                               sim_seconds=30.0,
+                                               clusters=4,
+                                               center_spread=0.05,
+                                               center_spread_y=0.3,
+                                               scan_interval=2.0,
+                                               window=1.0),
+    "crowd_clustered_n100k": clustered_workload(100_000, seed=13,
+                                                sim_seconds=16.0,
+                                                clusters=4,
+                                                center_spread=0.05,
+                                                center_spread_y=0.3,
+                                                scan_interval=2.0,
+                                                window=1.0),
+    "flash_city_n1M": clustered_workload(1_000_000, seed=13,
+                                         sim_seconds=4.0,
+                                         clusters=4,
+                                         center_spread=0.05,
+                                         center_spread_y=0.3,
+                                         scan_interval=2.0, window=1.0,
+                                         drift_speed=3.0),
+}
+
+
 @dataclass
 class ShardedResult:
     """Merged outcome of one sharded (or reference) run."""
@@ -261,9 +280,6 @@ class ShardedResult:
     #: wall clock an ideal one-core-per-shard host would need, since
     #: the barrier makes each window as slow as its slowest shard.
     critical_path_seconds: float = 0.0
-    #: shard id -> gc/tracemalloc accounting, present only when the
-    #: run was started with ``measure_alloc=True``.
-    per_shard_alloc: dict[int, dict[str, int]] | None = None
 
 
 def _clone(state: DeviceState) -> DeviceState:
@@ -417,7 +433,6 @@ def _shard_worker(conn: Connection, config: ShardConfig, shard_id: int,
                   exported: dict[str, tuple[int, ...]]) -> None:
     """Worker-process entry point: lockstep windows over the pipe."""
     try:
-        alloc_before = _alloc_begin() if config.measure_alloc else None
         sim = ShardSim(config, shard_id, owned, ghosts, exported)
         ghost_peak = len(sim.ghosts)
         boundaries = config.boundaries()
@@ -447,8 +462,6 @@ def _shard_worker(conn: Connection, config: ShardConfig, shard_id: int,
         report = _worker_report(sim)
         report["ghost_peak"] = ghost_peak
         report["final_busy_seconds"] = busy
-        if alloc_before is not None:
-            report["alloc"] = _alloc_end(alloc_before)
         conn.send(("report", report))
     except BaseException as exc:  # noqa: B036 - forwarded to coordinator
         import traceback
@@ -465,8 +478,7 @@ class ShardedRunner:
                  processes: bool | None = None, collect_logs: bool = True,
                  verify_ghosts: bool = False, partition: str = "strip",
                  rebalance: bool = False,
-                 rebalance_threshold: float = REBALANCE_THRESHOLD,
-                 measure_alloc: bool = False) -> None:
+                 rebalance_threshold: float = REBALANCE_THRESHOLD) -> None:
         if shards < 1:
             raise ValueError(f"shards must be >= 1, got {shards!r}")
         self.workload = workload
@@ -486,8 +498,7 @@ class ShardedRunner:
             window=workload.window, radio_range=workload.radio_range,
             halo=halo, scan_times=workload.scan_times(), partition=spec,
             collect_logs=collect_logs, verify_ghosts=verify_ghosts,
-            rebalance=rebalance, rebalance_threshold=rebalance_threshold,
-            measure_alloc=measure_alloc)
+            rebalance=rebalance, rebalance_threshold=rebalance_threshold)
 
     def run(self) -> ShardedResult:
         devices = self.workload.build_devices()
@@ -502,10 +513,6 @@ class ShardedRunner:
         logs = None
         if self.config.collect_logs:
             logs = _merge_logs([report["logs"] for report in reports])
-        per_shard_alloc = None
-        if self.config.measure_alloc:
-            per_shard_alloc = {report["shard_id"]: report["alloc"]
-                               for report in reports if "alloc" in report}
         return ShardedResult(
             shards=self.shards, device_count=len(devices),
             sim_seconds=self.workload.sim_seconds,
@@ -522,18 +529,12 @@ class ShardedRunner:
             rebalances=stats.rebalances,
             tiles_migrated=stats.tiles_migrated,
             imbalance_factor=stats.imbalance_factor,
-            critical_path_seconds=stats.critical_path,
-            per_shard_alloc=per_shard_alloc)
+            critical_path_seconds=stats.critical_path)
 
     # -- in-process scheduler ---------------------------------------------
 
     def _run_inline(self, split: list[Split],
                     stats: _WindowStats) -> list[dict]:
-        # In-process shards share one interpreter, so the alloc figures
-        # are process-wide (exact for shards=1, joint otherwise); the
-        # process scheduler is the genuinely per-shard path.
-        alloc_before = (_alloc_begin() if self.config.measure_alloc
-                        else None)
         sims = [ShardSim(self.config, shard_id, *start)
                 for shard_id, start in enumerate(split)]
         ghost_peaks = [len(sim.ghosts) for sim in sims]
@@ -571,15 +572,12 @@ class ShardedRunner:
                 sim.apply_exchange(*bundle, new_map)
                 ghost_peaks[sim.shard_id] = max(ghost_peaks[sim.shard_id],
                                                 len(sim.ghosts))
-        alloc = _alloc_end(alloc_before) if alloc_before is not None else None
         reports = []
         for sim in sims:
             sim.stop()
             report = _worker_report(sim)
             report["ghost_peak"] = ghost_peaks[sim.shard_id]
             report["final_busy_seconds"] = busy[sim.shard_id]
-            if alloc is not None:
-                report["alloc"] = dict(alloc)
             reports.append(report)
         return reports
 

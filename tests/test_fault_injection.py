@@ -24,11 +24,10 @@ from repro.net.retry import (
     RetryPolicy,
     is_degraded,
     recv_with_timeout,
-    wait_process_with_timeout,
 )
 from repro.radio.medium import NotReachableError
 from repro.radio.standards import WLAN
-from repro.simenv import Delay, Environment
+from repro.simenv import Environment
 
 
 # -- FaultConfig ----------------------------------------------------------
@@ -355,70 +354,6 @@ class TestBoundedWaitsReleaseState:
         fired = env.events_processed
         assert env.run() == started + _TIMEOUT_S
         assert env.events_processed == fired + 1
-
-    def _wait_child(self, env, child_seconds, result):
-        def child():
-            yield Delay(child_seconds)
-            return result
-
-        def waiter():
-            started = env.now
-            value = yield from wait_process_with_timeout(
-                env, env.spawn(child(), name="child"), _TIMEOUT_S)
-            return started, value
-
-        return env.spawn(waiter())
-
-    def test_resolved_process_wait_releases_its_state(self, env):
-        pushed = _record_pushes(env)
-        result = {"answer": [42]}
-        process = self._wait_child(env, 1.0, result)
-        env.run(until=5.0)
-        started, value = process.result
-        assert value is result
-        (timer,) = [event for event in pushed
-                    if event.time == started + _TIMEOUT_S]
-        assert len(env.queue) == 1 and not timer.cancelled
-        assert _holds_nothing(timer.callback, result)
-
-    def test_resolved_process_wait_timer_still_fires(self, env):
-        process = self._wait_child(env, 1.0, "done")
-        env.run(until=5.0)
-        started, _ = process.result
-        fired = env.events_processed
-        assert env.run() == started + _TIMEOUT_S
-        assert env.events_processed == fired + 1
-
-    def test_process_wait_times_out_at_the_deadline(self, env):
-        def child():
-            yield Delay(50.0)
-
-        def waiter(spawned):
-            with pytest.raises(AttemptTimeoutError):
-                yield from wait_process_with_timeout(env, spawned, _TIMEOUT_S)
-            return env.now
-
-        spawned = env.spawn(child(), name="child")
-        process = env.spawn(waiter(spawned))
-        env.run()
-        assert process.result == _TIMEOUT_S
-        assert not spawned.alive  # killed at the deadline
-
-    def test_process_wait_reraises_the_child_failure(self, env):
-        def child():
-            yield Delay(1.0)
-            raise ValueError("child failed")
-
-        def waiter():
-            yield from wait_process_with_timeout(
-                env, env.spawn(child(), name="child"), _TIMEOUT_S)
-
-        process = env.spawn(waiter())
-        env.acknowledge_failure(process)
-        process.done.wait(lambda _value: None)
-        env.run()
-        with pytest.raises(ValueError, match="child failed"):
-            _ = process.result
 
 
 # -- the pinned regression -------------------------------------------------

@@ -4,8 +4,8 @@
 worker processes; the contract is that every simulation-derived field
 (event counts, virtual times, bytes, group membership) is *identical*
 to a serial run — parallelism may only affect how long the host takes.
-These tests pin that contract at three layers: the primitive, the
-bench runner, and the sweep CLI's emitted JSON.
+These tests pin that contract at two layers: the primitive and the
+sweep CLI's emitted JSON.
 """
 
 from __future__ import annotations
@@ -17,16 +17,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.eval.bench import run_bench
 from repro.eval.parallel import parallel_map
 from repro.eval.sweeps import density_sweep, fragmentation_sweep
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SWEEP_CLI = REPO_ROOT / "scripts" / "sweep.py"
-
-#: Cheap scenarios — enough to exercise the fan-out without paying for
-#: the four-digit crowds in every test run.
-SMOKE_SCENARIOS = ["testbed_boot", "discovery_n4", "ps_roundtrip"]
 
 
 def _square(task: int) -> int:
@@ -61,22 +56,9 @@ def _reciprocal(task: int) -> float:
     return 1.0 / task
 
 
-class TestBenchParallelDeterminism:
-    def test_jobs2_matches_serial_on_simulation_fields(self):
-        serial = run_bench(quick=True, scenarios=SMOKE_SCENARIOS,
-                           repeats=1, jobs=1)
-        fanned = run_bench(quick=True, scenarios=SMOKE_SCENARIOS,
-                           repeats=1, jobs=2)
-        assert list(serial["scenarios"]) == list(fanned["scenarios"])
-        for name in SMOKE_SCENARIOS:
-            a, b = serial["scenarios"][name], fanned["scenarios"][name]
-            assert a["events_processed"] == b["events_processed"], name
-            assert a["sim_seconds"] == b["sim_seconds"], name
-
-
 class TestCliValidation:
-    """`--jobs`/`--shards` below 1 must die at argument parsing with a
-    clear message, in both CLIs and in the library entry point."""
+    """`--jobs` below 1 must die at argument parsing with a clear
+    message."""
 
     def _run(self, script: str, *argv: str) -> subprocess.CompletedProcess:
         return subprocess.run(
@@ -87,28 +69,6 @@ class TestCliValidation:
         proc = self._run("sweep.py", "density", "--jobs", "0")
         assert proc.returncode == 2
         assert "--jobs must be >= 1" in proc.stderr
-
-    def test_bench_rejects_negative_jobs(self):
-        proc = self._run("bench.py", "--jobs", "-2")
-        assert proc.returncode == 2
-        assert "--jobs must be >= 1" in proc.stderr
-
-    def test_bench_rejects_zero_shards(self):
-        proc = self._run("bench.py", "--shards", "0")
-        assert proc.returncode == 2
-        assert "--shards must be >= 1" in proc.stderr
-
-    def test_bench_rejects_shards_with_jobs(self):
-        proc = self._run("bench.py", "--shards", "2", "--jobs", "2")
-        assert proc.returncode == 2
-        assert "--shards and --jobs" in proc.stderr
-
-    def test_run_bench_rejects_invalid_shards(self):
-        with pytest.raises(ValueError, match="shards must be >= 1"):
-            run_bench(quick=True, scenarios=["discovery_n4"], shards=0)
-        with pytest.raises(ValueError, match="--shards and --jobs"):
-            run_bench(quick=True, scenarios=["discovery_n4"],
-                      shards=2, jobs=2)
 
 
 class TestSweepParallelDeterminism:
