@@ -24,18 +24,14 @@ def _run_crossing(seed: int):
                                         _SPEED))
     entry_t = (_ENTRY_X - 80.0) / _SPEED
     exit_t = (_EXIT_X - 80.0) / _SPEED
-    joined_at = left_at = None
-    while bed.env.step():
-        members = observer.app.group_members("football")
-        if joined_at is None and "walker" in members:
-            joined_at = bed.env.now
-        elif joined_at is not None and "walker" not in members:
-            left_at = bed.env.now
-            break
-        if bed.env.now > 200.0:
-            break
+    joined_at = bed.wait_for_groups(
+        observer, lambda: "walker" in observer.app.group_members("football"),
+        timeout=200.0)
+    left_at = bed.wait_for_groups(
+        observer,
+        lambda: "walker" not in observer.app.group_members("football"),
+        timeout=200.0)
     bed.stop()
-    assert joined_at is not None and left_at is not None
     return joined_at - entry_t, left_at - exit_t
 
 
@@ -66,15 +62,11 @@ def test_fig5_faster_scans_tighten_the_boundary():
         bed.add_member("walker", ["football"], position=Point(80, 100),
                        model=LinearCrossing(Point(80, 100),
                                             Point(125, 100), _SPEED))
-        joined_at = None
-        while bed.env.step():
-            if "walker" in observer.app.group_members("football"):
-                joined_at = bed.env.now
-                break
-            if bed.env.now > 200.0:
-                break
+        joined_at = bed.wait_for_groups(
+            observer,
+            lambda: "walker" in observer.app.group_members("football"),
+            timeout=200.0)
         bed.stop()
-        assert joined_at is not None
         return joined_at - (_ENTRY_X - 80.0) / _SPEED
 
     assert lag_with_interval(2.0) < lag_with_interval(8.0)

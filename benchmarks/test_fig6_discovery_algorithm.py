@@ -97,10 +97,8 @@ def test_fig6_end_to_end_formation_time(bench):
         bed = Testbed(seed=11, technologies=("bluetooth",))
         observer = bed.add_member("alice", ["football"])
         bed.add_member("bob", ["football"])
-        while "football" not in observer.app.my_groups():
-            if not bed.env.step():
-                raise RuntimeError("no group formed")
-        elapsed = bed.env.now
+        elapsed = bed.wait_for_groups(observer, observer.joined("football"),
+                                      timeout=600.0)
         bed.stop()
         return elapsed
 

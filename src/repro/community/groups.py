@@ -8,6 +8,7 @@ can reconstruct group lifetimes.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 
@@ -29,12 +30,17 @@ class MembershipEvent:
     reason: str
 
 
-class Group:
-    """One interest group."""
+MembershipListener = Callable[[str, MembershipEvent], None]
 
-    def __init__(self, interest: str, created_at: float) -> None:
+
+class Group:
+    """One interest group; ``registry``'s listeners hear its changes."""
+
+    def __init__(self, interest: str, created_at: float,
+                 registry: GroupRegistry | None = None) -> None:
         self.interest = interest
         self.created_at = created_at
+        self._registry = registry
         self._members: set[str] = set()
         #: Members who joined manually and must not be auto-evicted by
         #: a discovery refresh (Table 7: "Join/Leave Manually").
@@ -61,7 +67,7 @@ class Group:
         self._members.add(member_id)
         if reason == "manual":
             self.manual_members.add(member_id)
-        self.history.append(MembershipEvent(when, member_id, True, reason))
+        self._record(MembershipEvent(when, member_id, True, reason))
         return True
 
     def remove(self, member_id: str, when: float, reason: str = "departed") -> bool:
@@ -70,8 +76,14 @@ class Group:
             return False
         self._members.discard(member_id)
         self.manual_members.discard(member_id)
-        self.history.append(MembershipEvent(when, member_id, False, reason))
+        self._record(MembershipEvent(when, member_id, False, reason))
         return True
+
+    def _record(self, event: MembershipEvent) -> None:
+        self.history.append(event)
+        if self._registry is not None:
+            for listener in self._registry._listeners:
+                listener(self.interest, event)
 
     def __repr__(self) -> str:
         return f"Group({self.interest!r}, members={sorted(self._members)})"
@@ -80,14 +92,26 @@ class Group:
 class GroupRegistry:
     """All groups one device currently knows about."""
 
+    #: Rebound per instance on registration: unobserved, it allocates none.
+    _listeners: tuple[MembershipListener, ...] = ()
+
     def __init__(self) -> None:
         self._groups: dict[str, Group] = {}
+
+    def on_membership_change(self, callback: MembershipListener) -> None:
+        """Call ``callback(interest, event)`` after each join or leave."""
+        self._listeners = (*self._listeners, callback)
+
+    def off_membership_change(self, callback: MembershipListener) -> None:
+        """Stop calling ``callback``."""
+        self._listeners = tuple(listener for listener in self._listeners
+                                if listener is not callback)
 
     def ensure(self, interest: str, when: float) -> Group:
         """The group for ``interest``, created on first reference."""
         group = self._groups.get(interest)
         if group is None:
-            group = Group(interest, created_at=when)
+            group = Group(interest, created_at=when, registry=self)
             self._groups[interest] = group
         return group
 

@@ -72,12 +72,8 @@ def run_technology_ablation(seed: int = 0) -> list[TechnologyResult]:
         observer = bed.add_member("alice", ["football"])
         bed.add_member("bob", ["football"])
         start = bed.env.now
-        while "football" not in observer.app.my_groups():
-            if not bed.env.step():
-                raise RuntimeError(f"no group formed over {technology}")
-            if bed.env.now - start > 300.0:
-                raise RuntimeError(f"{technology}: formation took > 300 s")
-        formation = bed.env.now - start
+        formation = bed.wait_for_groups(observer, observer.joined("football"),
+                                        timeout=300.0) - start
         adapters = bed.medium.adapters_of("alice") + bed.medium.adapters_of("bob")
         sent = sum(adapter.bytes_sent for adapter in adapters)
         cost = sum(adapter.cost_incurred for adapter in adapters)
@@ -118,13 +114,10 @@ def run_scan_interval_sweep(intervals: tuple[float, ...] = (2.0, 5.0, 10.0,
         bed.run(6.0)
         arrival = bed.env.now
         bed.add_member("bob", ["football"], position=Point(103.0, 100.0))
-        while "football" not in observer.app.my_groups():
-            if not bed.env.step():
-                raise RuntimeError("no group formed")
-            if bed.env.now - arrival > 600.0:
-                raise RuntimeError("formation took > 600 s")
+        formed = bed.wait_for_groups(observer, observer.joined("football"),
+                                     timeout=600.0)
         plugin = observer.device.daemon.plugins["bluetooth"]
-        points.append(ScanIntervalPoint(interval, bed.env.now - arrival,
+        points.append(ScanIntervalPoint(interval, formed - arrival,
                                         plugin.scan_count))
         bed.stop()
     return points

@@ -64,14 +64,11 @@ def density_point(count: int, seed: int = 0, *,
                                     radius=radius)
     observer = members[0]
     expected = {member.member_id for member in members}
-    while set(observer.app.group_members("football")) != expected:
-        if not bed.env.step():
-            raise RuntimeError("group never completed")
-        if bed.env.now > deadline_s:
-            raise RuntimeError(f"no complete group for {count} members "
-                               f"within {deadline_s:g} s")
+    complete_at = bed.wait_for_groups(
+        observer, lambda: set(observer.app.group_members("football")) == expected,
+        timeout=deadline_s - bed.env.now)
     adapter = bed.medium.adapter(observer.device_id, technologies[0])
-    point = DensityPoint(count, bed.env.now, adapter.bytes_sent)
+    point = DensityPoint(count, complete_at, adapter.bytes_sent)
     bed.stop()
     return point
 

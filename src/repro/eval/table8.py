@@ -93,12 +93,6 @@ def run_sns_column(site: SiteProfile, device: AccessDevice, *,
 # -- PeerHood Community column ---------------------------------------------------
 
 
-def _group_formed(bed: Testbed, member, interest: str) -> bool:
-    members = bed.members[member].app.group_members(interest)
-    me = bed.members[member].member_id
-    return len([m for m in members if m != me]) > 0
-
-
 def run_peerhood_column(*, seed: int = 0, trials: int = 5,
                         neighbors: int = 3,
                         ui: ConsoleUi | None = None) -> TaskTimes:
@@ -122,12 +116,9 @@ def run_peerhood_column(*, seed: int = 0, trials: int = 5,
         # Task 1: group search = app start -> group formed dynamically.
         # (The app start/menu moment is part of the paper's stopwatch.)
         start = bed.env.now
-        while not _group_formed(bed, "alice", "football"):
-            if not bed.env.step():
-                raise RuntimeError("simulation idle before group formed")
-            if bed.env.now - start > 120.0:
-                raise RuntimeError("group did not form within 120 s")
-        search_s = (bed.env.now - start) + human.think(0.8)
+        formed = bed.wait_for_groups(observer, observer.joined("football"),
+                                     timeout=120.0)
+        search_s = (formed - start) + human.think(0.8)
 
         # Task 2: join.  Dynamic discovery already placed us in the
         # group ("Already in the Group") - verify, cost nothing.

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from collections.abc import Generator
+from collections.abc import Callable, Generator
 
 from repro.community.app import CommunityApp
 from repro.mobility.geometry import Point, Rect
@@ -27,7 +27,7 @@ from repro.peerhood.seamless import SeamlessConnectivityManager
 from repro.radio.gprs import GprsGateway
 from repro.radio.medium import Medium
 from repro.radio.standards import BLUETOOTH, GPRS, WLAN
-from repro.simenv import Environment
+from repro.simenv import Environment, Signal
 
 _TECHNOLOGY_BY_NAME = {
     "bluetooth": BLUETOOTH,
@@ -73,6 +73,10 @@ class MemberHandle:
     def groups(self) -> list[str]:
         """Groups the member currently belongs to."""
         return self.app.my_groups()
+
+    def joined(self, interest: str) -> Callable[[], bool]:
+        """A :meth:`Testbed.wait_for_groups` condition: in ``interest``'s group."""
+        return lambda: interest in self.groups()
 
 
 class Testbed:
@@ -237,14 +241,43 @@ class Testbed:
         done = process.done
         done.wait(lambda _value: None)  # later failures
         if process.alive:
-            env.run(until=env.now + timeout, stop=done)
-            if process.alive:
-                if not env.step():
-                    raise RuntimeError("simulation went idle with the "
-                                       "operation still pending")
-                raise TimeoutError(
-                    f"operation still running after {timeout} simulated seconds")
+            self._run_until(done, env.now + timeout, timeout, "operation")
         return process.result
+
+    def wait_for_groups(self, member: MemberHandle, condition: Callable[[], bool],
+                        *, timeout: float) -> float:
+        """Run until ``condition()``, which reads ``member``'s groups, holds.
+
+        Tests it now and after each event that changed those groups, never
+        inside one: an event can remove and re-add members.  Returns the
+        time; ends on deadline or idle queue as :meth:`execute` does."""
+        registry = member.app.engine.groups
+        deadline = self.env.now + timeout
+        while not condition():
+            changed = Signal("testbed.groups")
+
+            def listener(_interest, _event, changed=changed) -> None:
+                if not changed.fired:
+                    changed.fire()
+
+            registry.on_membership_change(listener)
+            try:
+                self._run_until(changed, deadline, timeout, "group wait")
+            finally:
+                registry.off_membership_change(listener)
+        return self.env.now
+
+    def _run_until(self, stop: Signal, deadline: float, timeout: float,
+                   what: str) -> None:
+        """Run until ``stop`` fires; past ``deadline``, fire the next event
+        and raise ``TimeoutError`` (``RuntimeError`` if there is none)."""
+        self.env.run(until=deadline, stop=stop)
+        if not stop.fired:
+            if not self.env.step():
+                raise RuntimeError(
+                    f"simulation went idle with the {what} still pending")
+            raise TimeoutError(
+                f"{what} still running after {timeout} simulated seconds")
 
     def stop(self) -> None:
         """Stop world ticks and daemons (lets the event queue drain)."""

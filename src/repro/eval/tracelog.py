@@ -1,11 +1,10 @@
 """Structured event tracing for simulation runs.
 
 A :class:`TraceLog` subscribes to the observable seams of one testbed —
-PeerHood device events, community probe completions, group membership
-changes — and records them as typed entries with virtual timestamps.
-Runs can be exported as JSON lines for offline analysis and summarised
-for quick inspection; scenario tests use it to assert event *ordering*
-across subsystems (device found before probe, probe before group join).
+PeerHood device events and group membership changes — and records them
+as typed entries with virtual timestamps.  Runs can be exported as JSON
+lines for offline analysis and summarised for quick inspection; scenario
+tests use it to assert event *ordering* across subsystems.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.community.groups import MembershipEvent
     from repro.eval.testbed import MemberHandle, Testbed
 
 
@@ -27,8 +27,7 @@ class TraceEntry:
         time: Virtual time.
         device_id: Observing device.
         kind: Event type (``device_found``, ``device_lost``,
-            ``services_updated``, ``probe``, ``group_join``,
-            ``group_leave``).
+            ``services_updated``, ``group_join``, ``group_leave``).
         detail: Event-specific payload.
     """
 
@@ -60,44 +59,16 @@ class TraceLog:
                                          {"device": updated}))
 
     def attach_member(self, member: MemberHandle) -> None:
-        """Subscribe to a member's daemon plus group-change polling.
-
-        Group joins/leaves are recorded by wrapping the registry's
-        bookkeeping (membership events already carry reasons and
-        timestamps; the log just mirrors them as they happen).
-        """
+        """Subscribe to a member's daemon and group registry."""
         self.attach_device(member.device_id, member.device.daemon)
-        engine = member.app.engine
-        original_ensure = engine.groups.ensure
-        log = self
 
-        def traced_ensure(interest: str, when: float):
-            group = original_ensure(interest, when)
-            if not hasattr(group, "_trace_wrapped"):
-                group._trace_wrapped = True
-                original_add, original_remove = group.add, group.remove
+        def record(interest: str, event: MembershipEvent) -> None:
+            self._record(event.time, member.device_id,
+                         "group_join" if event.joined else "group_leave",
+                         {"group": interest, "member": event.member_id,
+                          "reason": event.reason})
 
-                def traced_add(member_id, when, reason="dynamic"):
-                    changed = original_add(member_id, when, reason)
-                    if changed:
-                        log._record(when, member.device_id, "group_join",
-                                    {"group": group.interest,
-                                     "member": member_id, "reason": reason})
-                    return changed
-
-                def traced_remove(member_id, when, reason="departed"):
-                    changed = original_remove(member_id, when, reason)
-                    if changed:
-                        log._record(when, member.device_id, "group_leave",
-                                    {"group": group.interest,
-                                     "member": member_id, "reason": reason})
-                    return changed
-
-                group.add = traced_add
-                group.remove = traced_remove
-            return group
-
-        engine.groups.ensure = traced_ensure
+        member.app.engine.groups.on_membership_change(record)
 
     def attach_testbed(self, bed: Testbed) -> None:
         """Subscribe to every member already in the testbed."""

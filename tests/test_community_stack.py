@@ -306,19 +306,13 @@ class TestDynamicGroupDiscovery:
                        position=Point(82, 100),
                        model=LinearCrossing(Point(82, 100),
                                             Point(125, 100), 1.0))
-        joined_at = left_at = None
-        for _ in range(100_000):
-            if not bed.env.step():
-                break
-            members = observer.app.group_members("football")
-            if joined_at is None and "walker" in members:
-                joined_at = bed.env.now
-            if joined_at is not None and left_at is None \
-                    and "walker" not in members:
-                left_at = bed.env.now
-                break
-        assert joined_at is not None, "walker never joined"
-        assert left_at is not None, "walker never left"
+        joined_at = bed.wait_for_groups(
+            observer, lambda: "walker" in observer.app.group_members("football"),
+            timeout=120.0)
+        left_at = bed.wait_for_groups(
+            observer,
+            lambda: "walker" not in observer.app.group_members("football"),
+            timeout=120.0)
         # The walker is in Bluetooth range (10 m) from x=90 (t=8) to
         # x=110 (t=28).  Discovery lag trails physical entry/exit.
         assert 8.0 <= joined_at <= 30.0

@@ -4,7 +4,7 @@ ablations, the paper testbed catalogue and reporting."""
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.eval.ablations import (
@@ -26,6 +26,7 @@ from repro.eval.table8 import (
 )
 from repro.eval.testbed import Testbed
 from repro.eval.workloads import populate_neighborhood, random_interests
+from repro.mobility import LinearCrossing, Point
 from repro.simenv import Delay, Signal, WaitSignal
 from repro.sns.devices import NOKIA_N810
 from repro.sns.sites import FACEBOOK_2008
@@ -191,6 +192,104 @@ class TestExecuteOnTheRunLoop:
     def test_matches_the_step_loop(self, schedule):
         assert (_replay(schedule, _run_loop_execute)
                 == _replay(schedule, _step_loop_execute))
+
+
+def _poll_wait_for_groups(bed: Testbed, _member, condition, timeout: float):
+    """``Testbed.wait_for_groups`` as a re-test after every event: the
+    reference."""
+    env = bed.env
+    deadline = env.now + timeout
+    while not condition():
+        if not env.step():
+            raise RuntimeError("simulation went idle with the "
+                               "group wait still pending")
+        if env.now > deadline:
+            raise TimeoutError(
+                f"group wait still running after {timeout} simulated seconds")
+    return env.now
+
+
+def _wait_for_groups(bed: Testbed, member, condition, timeout: float):
+    return bed.wait_for_groups(member, condition, timeout=timeout)
+
+
+#: Walker paths that enter and then leave the observer's range.
+_CROSSINGS = {"bluetooth": (Point(80, 100), Point(125, 100), 1.0),
+              "wlan": (Point(20, 100), Point(190, 100), 2.0)}
+
+_rooms = st.fixed_dictionaries({
+    "seed": st.integers(0, 1000),
+    "technology": st.sampled_from(["bluetooth", "wlan"]),
+    "members": st.integers(2, 6),
+    "walker": st.booleans(),
+    "condition": st.sampled_from(["joined", "left", "complete"]),
+    "target": st.integers(0, 5),
+    "start": st.sampled_from([0.0, 7.5, 30.0]),
+    "stop_in": st.one_of(st.none(), st.floats(0.0, 120.0, allow_nan=False)),
+    "refresh_in": st.one_of(st.none(), st.floats(0.0, 60.0, allow_nan=False)),
+    "timeout": st.one_of(st.sampled_from([0.0, 5.0, 200.0]),
+                         st.floats(0.0, 200.0, allow_nan=False)),
+})
+
+
+def _wait_in_room(room: dict, wait) -> tuple:
+    """Build ``room``, wait on its condition; where and how it ended."""
+    bed = Testbed(seed=room["seed"], technologies=(room["technology"],))
+    observer = bed.add_member("m0", ["football"])
+    for index in range(1, room["members"]):
+        bed.add_member(f"m{index}", ["football"])
+    if room["walker"]:
+        start, end, speed = _CROSSINGS[room["technology"]]
+        bed.add_member("walker", ["football"], position=start,
+                       model=LinearCrossing(start, end, speed))
+    bed.run(room["start"])
+    if room["stop_in"] is not None:  # the queue drains: the wait may go idle
+        bed.env.call_in(room["stop_in"], bed.stop)
+    if room["refresh_in"] is not None:  # drops, then re-adds, in one event
+        bed.env.call_in(room["refresh_in"], observer.app.engine.refresh)
+    everyone = set(bed.members)
+    others = sorted(everyone - {"m0"})
+    target = others[room["target"] % len(others)]
+    if room["condition"] == "left" and room["walker"]:
+        target = "walker"
+    app = observer.app
+    seen_target: list[bool] = []
+
+    def joined():
+        return target in app.group_members("football")
+
+    def left():
+        if joined():
+            seen_target.append(True)
+            return False
+        return bool(seen_target)
+
+    condition = {"joined": joined, "left": left,
+                 "complete": lambda: set(app.group_members("football"))
+                 == everyone}[room["condition"]]
+    try:
+        outcome = ("ok", wait(bed, observer, condition, room["timeout"]))
+    except (RuntimeError, TimeoutError) as exc:
+        outcome = (type(exc).__name__, str(exc))
+    return outcome, bed.env.now, bed.env.events_processed
+
+
+#: The refresh at 30 s drops the walker and re-adds it in one event, so
+#: "left" holds inside that event but not after it.
+_ROOM = {"seed": 3, "technology": "bluetooth", "members": 2, "walker": True,
+         "condition": "left", "target": 0, "start": 0.0, "stop_in": None,
+         "refresh_in": 30.0, "timeout": 200.0}
+
+
+class TestWaitForGroups:
+    @settings(deadline=None, max_examples=40)
+    @given(room=_rooms)
+    @example(room=_ROOM)
+    @example(room={**_ROOM, "technology": "wlan", "members": 6,  # goes idle
+                   "condition": "complete", "stop_in": 1.0})
+    def test_matches_the_per_event_poll(self, room):
+        assert (_wait_in_room(room, _wait_for_groups)
+                == _wait_in_room(room, _poll_wait_for_groups))
 
 
 class TestWorkloads:

@@ -9,7 +9,7 @@ import string
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.community.groups import GroupRegistry
+from repro.community.groups import Group, GroupRegistry
 from repro.community.interests import InterestSet, normalize_interest
 from repro.community.semantics import SemanticMatcher
 from repro.mobility.geometry import Point, Rect, distance
@@ -155,22 +155,50 @@ class TestSemanticsProperties:
 
 class TestGroupProperties:
     @given(events=st.lists(
-        st.tuples(st.sampled_from(["add", "remove"]), member_ids,
+        st.tuples(st.sampled_from(["add", "remove", "merge", "everywhere"]),
+                  member_ids, st.sampled_from(["g1", "g2", "g3"]),
                   st.sampled_from(["g1", "g2", "g3"])),
         max_size=40))
     def test_membership_matches_event_replay(self, events):
         registry = GroupRegistry()
+        heard = []
+        registry.on_membership_change(
+            lambda interest, event: heard.append((interest, event)))
         expected: dict[str, set[str]] = {}
-        for time, (action, member, group_name) in enumerate(events):
-            group = registry.ensure(group_name, float(time))
-            if action == "add":
-                group.add(member, float(time))
-                expected.setdefault(group_name, set()).add(member)
+        created: dict[int, Group] = {}  # absorbed groups included
+        for time, (action, member, group_name, into) in enumerate(events):
+            when = float(time)
+            if action == "merge":
+                registry.merge(group_name, into, when)
+                if group_name != into and group_name in expected:
+                    expected.setdefault(into, set()).update(
+                        expected.pop(group_name))
+            elif action == "everywhere":
+                registry.remove_member_everywhere(member, when)
+                for members in expected.values():
+                    members.discard(member)
             else:
-                group.remove(member, float(time))
-                expected.setdefault(group_name, set()).discard(member)
+                group = registry.ensure(group_name, when)
+                if action == "add":
+                    group.add(member, when)
+                    expected.setdefault(group_name, set()).add(member)
+                else:
+                    group.remove(member, when)
+                    expected.setdefault(group_name, set()).discard(member)
+            for _, group in registry.items():
+                created.setdefault(id(group), group)
+        assert registry.names() == sorted(expected)
         for group_name, members in expected.items():
             assert registry.get(group_name).members == frozenset(members)
+        # The listener hears every recorded event once, in call order.
+        owner = {id(event): group for group in created.values()
+                 for event in group.history}
+        assert len(heard) == len(owner)
+        assert all(owner[id(event)].interest == interest
+                   for interest, event in heard)
+        for group in created.values():
+            assert [event for _, event in heard
+                    if owner[id(event)] is group] == group.history
 
     @given(events=st.lists(
         st.tuples(st.sampled_from(["add", "remove"]), member_ids),

@@ -102,6 +102,35 @@ class TestTraceLog:
         assert any(entry.detail["device"] == "bob" for entry in losses)
         bed.stop()
 
+    def test_two_logs_record_the_same_entries(self):
+        bed = Testbed(seed=29, technologies=("bluetooth",))
+        first, second = TraceLog(), TraceLog()
+        bed.add_member("alice", ["football"])
+        bed.add_member("bob", ["football"])
+        first.attach_testbed(bed)
+        second.attach_testbed(bed)
+        bed.run(40.0)
+        assert first.summary()["group_join"] == 4
+        assert second.entries == first.entries
+        bed.stop()
+
+    def test_log_attached_after_formation_records_the_leave(self):
+        bed = Testbed(seed=29, technologies=("bluetooth",))
+        alice = bed.add_member("alice", ["football"])
+        bed.add_member("bob", ["football"])
+        bed.run(40.0)
+        log = TraceLog()
+        log.attach_testbed(bed)
+        bed.world.move_node("bob", Point(200, 200))
+        bed.run(40.0)
+        left = alice.app.engine.groups.get("football").history[-1]
+        assert (left.member_id, left.joined) == ("bob", False)
+        assert [(entry.time, entry.device_id, entry.detail["member"])
+                for entry in log.of_kind("group_leave")] == [
+            (left.time, "alice", "bob"),
+            (log.of_kind("device_lost")[1].time, "bob", "alice")]
+        bed.stop()
+
     def test_jsonl_round_trip(self, tmp_path):
         bed, log, _, _ = self._traced_bed()
         target = tmp_path / "trace.jsonl"
