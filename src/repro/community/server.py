@@ -65,6 +65,9 @@ class CommunityService:
         self.send_failures = 0
         self.file_service = FileTransferService(store)
         self._clock = clock
+        #: MSC participant labels, built once instead of per message.
+        self._server_label = f"server:{device_id}"
+        self._client_labels: dict[str, str] = {}
 
     def now(self) -> float:
         """Timestamp for profile-state writes (never sent on the wire)."""
@@ -149,7 +152,7 @@ class CommunityService:
             return protocol.make_response(protocol.NO_MEMBERS_YET)
         active.record_view(params["requester"], self.now())
         if self.recorder is not None:
-            self.recorder.action(self.now(), f"server:{self.device_id}",
+            self.recorder.action(self.now(), self._server_label,
                                  "writes profile visitor")
         view = active.public_view()
         view["trusted"] = sorted(active.trusted)
@@ -163,7 +166,7 @@ class CommunityService:
         active.record_comment(params["requester"], params["comment"],
                               self.now())
         if self.recorder is not None:
-            self.recorder.action(self.now(), f"server:{self.device_id}",
+            self.recorder.action(self.now(), self._server_label,
                                  "writes comment to profile file")
         return protocol.make_response(protocol.SUCCESSFULLY_WRITTEN)
 
@@ -192,7 +195,7 @@ class CommunityService:
             subject=params["subject"], body=params["body"],
             sent_at=self.now()))
         if self.recorder is not None:
-            self.recorder.action(self.now(), f"server:{self.device_id}",
+            self.recorder.action(self.now(), self._server_label,
                                  "writes mail to inbox file")
         return protocol.make_response(protocol.SUCCESSFULLY_WRITTEN)
 
@@ -271,18 +274,24 @@ class CommunityService:
 
     # -- tracing -------------------------------------------------------------
 
+    def _client_label(self, remote_id: str) -> str:
+        label = self._client_labels.get(remote_id)
+        if label is None:
+            label = self._client_labels[remote_id] = f"client:{remote_id}"
+        return label
+
     def _trace_in(self, remote_id: str, payload: Any) -> None:
         if self.recorder is not None and isinstance(payload, dict):
             self.recorder.message(self.now(),
-                                  f"client:{remote_id}",
-                                  f"server:{self.device_id}",
+                                  self._client_label(remote_id),
+                                  self._server_label,
                                   str(payload.get("op", "?")))
 
     def _trace_out(self, remote_id: str, response: dict) -> None:
         if self.recorder is not None:
             self.recorder.message(self.now(),
-                                  f"server:{self.device_id}",
-                                  f"client:{remote_id}",
+                                  self._server_label,
+                                  self._client_label(remote_id),
                                   str(response.get("status", "?")))
 
 

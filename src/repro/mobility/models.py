@@ -75,7 +75,8 @@ class RandomWalk:
         moved = position.offset(math.cos(self._heading) * self._speed * dt,
                                 math.sin(self._heading) * self._speed * dt)
         clamped = self._bounds.clamp(moved)
-        if clamped != moved:
+        if clamped is not moved and (clamped.x != moved.x
+                                     or clamped.y != moved.y):
             # Bounce off the wall by reversing heading.
             self._heading = (self._heading + math.pi) % (2.0 * math.pi)
         return clamped

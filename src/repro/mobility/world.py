@@ -25,13 +25,31 @@ DEFAULT_CELL_SIZE = 25.0
 
 
 class MobileNode:
-    """A device's physical presence in the world."""
+    """A device's physical presence in the world.
+
+    Assigning ``model`` while the node is in a world tells the world,
+    which ticks only the nodes whose model is not :class:`Stationary`.
+    """
+
+    __slots__ = ("node_id", "position", "_model", "_world")
 
     def __init__(self, node_id: str, position: Point,
                  model: MobilityModel | None = None) -> None:
         self.node_id = node_id
         self.position = position
-        self.model = model if model is not None else Stationary()
+        self._model: MobilityModel = (model if model is not None
+                                      else Stationary())
+        self._world: World | None = None
+
+    @property
+    def model(self) -> MobilityModel:
+        return self._model
+
+    @model.setter
+    def model(self, model: MobilityModel) -> None:
+        self._model = model
+        if self._world is not None:
+            self._world._model_changed(self)
 
     def __repr__(self) -> str:
         return (f"MobileNode({self.node_id!r}, "
@@ -76,7 +94,9 @@ class World:
     """Bounded 2D plane holding every mobile node.
 
     The world ticks positions forward on a periodic timer and notifies
-    movement listeners after each tick.  The radio
+    movement listeners after each tick.  A tick steps only the movers,
+    the nodes whose model is not :class:`Stationary`, in the order the
+    nodes were added.  The radio
     :class:`~repro.radio.medium.Medium` is the primary listener: it
     re-derives link reachability from the new positions.
 
@@ -95,6 +115,9 @@ class World:
         self.bounds = bounds if bounds is not None else Rect(0.0, 0.0, 200.0, 200.0)
         self.tick = tick
         self._nodes: dict[str, MobileNode] = {}
+        #: The nodes whose model is not ``Stationary``, in ``_nodes``
+        #: order: the only ones a tick steps.
+        self._movers: dict[str, MobileNode] = {}
         self._listeners: list[Callable[[MovementReport], None]] = []
         self._grid = SpatialGrid(
             cell_size if cell_size is not None else DEFAULT_CELL_SIZE)
@@ -119,7 +142,10 @@ class World:
         if not self.bounds.contains(position):
             position = self.bounds.clamp(position)
         node = MobileNode(node_id, position, model)
+        node._world = self
         self._nodes[node_id] = node
+        if type(node.model) is not Stationary:
+            self._movers[node_id] = node
         self._grid.insert(node_id, position)
         self._notify(MovementReport(added=(node_id,)))
         return node
@@ -128,7 +154,8 @@ class World:
         """Remove a node (device switched off / left the simulation)."""
         if node_id not in self._nodes:
             raise KeyError(f"node {node_id!r} not in world")
-        del self._nodes[node_id]
+        self._nodes.pop(node_id)._world = None
+        self._movers.pop(node_id, None)
         self._grid.remove(node_id)
         self._notify(MovementReport(removed=(node_id,)))
 
@@ -236,21 +263,30 @@ class World:
         """Stop the movement timer (ends the simulation's busy loop)."""
         self._timer.stop()
 
+    def _model_changed(self, node: MobileNode) -> None:
+        """Keep the movers in ``_nodes`` order across a model swap."""
+        if type(node.model) is Stationary:
+            self._movers.pop(node.node_id, None)
+        elif node.node_id not in self._movers:
+            self._movers = {node_id: other
+                            for node_id, other in self._nodes.items()
+                            if type(other.model) is not Stationary}
+
     def _advance(self) -> None:
         dt = self.env.now - self._last_tick_time
         self._last_tick_time = self.env.now
         if dt <= 0.0:
             return
         grid = self._grid
-        bounds = self.bounds
+        clamp = self.bounds.clamp
         moved: list[str] = []
         crossed: list[str] = []
-        for node in self._nodes.values():
-            model = node.model
-            if type(model) is Stationary:
-                continue
-            new_position = bounds.clamp(model.step(node.position, dt))
-            if new_position != node.position:
+        for node in self._movers.values():
+            position = node.position
+            new_position = clamp(node._model.step(position, dt))
+            if new_position is not position and (
+                    new_position.x != position.x
+                    or new_position.y != position.y):
                 node.position = new_position
                 moved.append(node.node_id)
                 if grid.move(node.node_id, new_position):

@@ -38,6 +38,12 @@ tile→shard map in ``apply_exchange`` — adopted *after* the incoming
 traffic is installed, so it governs the next window's ownership
 re-evaluation and the reassigned tiles' devices migrate through the
 ordinary exchange path one window later.
+
+A window edge costs what moved.  A stationary device's route, exports
+and tile hold until a map is adopted, so the edge re-routes only the
+devices that arrived since the last one, and each walker only once it
+leaves the exact box around it where its route holds
+(:meth:`~repro.shard.partition.TilePartition.route_box`).
 """
 
 from __future__ import annotations
@@ -46,7 +52,8 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from repro.mobility.geometry import Rect
-from repro.mobility.world import MovementReport, World
+from repro.mobility.models import Stationary
+from repro.mobility.world import MobileNode, MovementReport, World
 from repro.radio.medium import Medium
 from repro.radio.technology import Technology
 from repro.shard.balance import REBALANCE_THRESHOLD
@@ -161,6 +168,15 @@ class ShardSim:
         self.technology = shard_technology(config.radio_range)
         self.owned: dict[str, DeviceState] = {}
         self.ghosts: dict[str, DeviceState] = {}
+        #: The owned devices whose model moves them, in owned order,
+        #: with their world nodes.
+        self._walkers: dict[str, MobileNode] = {}
+        #: Owned devices installed since the last edge, in owned order:
+        #: the next edge routes them afresh.
+        self._arrivals: dict[str, None] = {}
+        #: Whether the next edge re-routes every owned device, because
+        #: a new tile map was adopted.
+        self._reroute_all = False
         #: device id -> this shard's segment of its interaction log.
         self.logs: dict[str, list[LogEntry]] = {}
         #: Device-attributable events fired here: one per owned-walker
@@ -170,8 +186,19 @@ class ShardSim:
         self.device_events = 0
         self.migrations_out = 0
         self._emigrant_ids: list[str] = []
-        #: device id -> scan events fired since the last exchange;
-        #: aggregated into per-tile loads at collect time, then reset.
+        # Per-tile load accounting, kept only when the run rebalances.
+        # A stationary device's tile never changes, so its load is
+        # booked to its tile as it happens; a walker's goes to the
+        # tile it stands in at the edge.
+        tiles = len(self.partition.tile_map)
+        #: stationary owned device -> the tile it stands in.
+        self._tile_of: dict[str, int] = {}
+        #: Per tile: the stationary owned devices standing in it.
+        self._still_per_tile = [0] * tiles
+        #: Per tile: the scan events its stationary owned devices fired
+        #: since the last exchange.
+        self._still_scans = [0] * tiles
+        #: walker -> scan events fired since the last exchange.
         self._scan_events: dict[str, int] = {}
         #: ``device_events`` reading at the last exchange — the delta
         #: is the per-window event count the imbalance factor tracks.
@@ -180,30 +207,66 @@ class ShardSim:
         #: at the last window edge (the initial split before the
         #: first); each of them still holds an exact replica.
         self._exported = exported
-        #: device id -> (x, y, tile, owner, ghost targets other than
-        #: the owner) as routed at exactly that position under the
-        #: current map; a device that did not move reuses its route.
-        self._routes: dict[
-            str, tuple[float, float, int, int, tuple[int, ...]]] = {}
+        #: The kept entries of every exported stationary device, for
+        #: the next edge; ``None`` once one of them changed.
+        self._still_kept: list[tuple[int, KeptGhost]] | None = None
+        #: walker -> (lo_x, hi_x, lo_y, hi_y, tile, owner, ghost
+        #: targets other than the owner): the box in which its route
+        #: holds (map-independent), and that route under the current
+        #: map.  A stationary device keeps no memo.
+        self._routes: dict[str, tuple[float, float, float, float,
+                                      int, int, tuple[int, ...]]] = {}
         self.world.on_moves(self._count_owned_moves)
         with self.world.batch():
             for state in owned:
                 self._install(state, self.owned)
             for state in ghosts:
                 self._install(state, self.ghosts)
+        # The initial split routed every owned device where its state
+        # stands and recorded its ghost targets in ``exported``; a
+        # stationary device the world did not clamp elsewhere keeps
+        # that route, so the first edge routes only the rest.
+        node = self.world.node
+        self._arrivals = {
+            device_id: None for device_id, state in self.owned.items()
+            if device_id in self._walkers
+            or node(device_id).position.x != state.x
+            or node(device_id).position.y != state.y}
 
     # -- population --------------------------------------------------------
 
     def _install(self, state: DeviceState,
                  bucket: dict[str, DeviceState]) -> None:
-        bucket[state.device_id] = state
-        self.world.add_node(state.device_id, state.position(), state.model)
-        self.medium.attach(state.device_id, self.technology)
+        device_id = state.device_id
+        bucket[device_id] = state
+        node = self.world.add_node(device_id, state.position(), state.model)
+        self.medium.attach(device_id, self.technology)
+        if bucket is not self.owned:
+            return
+        self._arrivals[device_id] = None
+        if type(node.model) is not Stationary:
+            self._walkers[device_id] = node
+        elif self.config.rebalance:
+            position = node.position
+            tile = self._tile_of[device_id] = self.partition.tile_index(
+                position.x, position.y)
+            self._still_per_tile[tile] += 1
 
     def _uninstall(self, device_id: str) -> None:
         self.medium.detach(device_id, SHARD_TECH)
         self.world.remove_node(device_id)
         self._routes.pop(device_id, None)
+
+    def _disown(self, device_id: str) -> None:
+        """Drop an emigrant from the owned-device records."""
+        del self.owned[device_id]
+        if self._walkers.pop(device_id, None) is not None:
+            self._exported.pop(device_id, None)
+        elif self._exported.pop(device_id, None) is not None:
+            self._still_kept = None
+        tile = self._tile_of.pop(device_id, -1)
+        if tile >= 0:
+            self._still_per_tile[tile] -= 1
 
     def _count_owned_moves(self, report: MovementReport) -> None:
         owned = self.owned
@@ -259,6 +322,9 @@ class ShardSim:
     def _scan_instant(self, device_ids: list[str]) -> None:
         """Scan ``device_ids``, in order, at the current instant."""
         neighbors = self.medium.neighbors
+        rebalance = self.config.rebalance
+        tile_of = self._tile_of
+        still_scans = self._still_scans
         scan_events = self._scan_events
         logs = self.logs if self.config.collect_logs else None
         now = self.env.now
@@ -267,7 +333,13 @@ class ShardSim:
             listing = neighbors(device_id, SHARD_TECH)
             fired = 1 + len(listing)
             fired_total += fired
-            scan_events[device_id] = scan_events.get(device_id, 0) + fired
+            if rebalance:
+                tile = tile_of.get(device_id, -1)
+                if tile < 0:
+                    scan_events[device_id] = (scan_events.get(device_id, 0)
+                                              + fired)
+                else:
+                    still_scans[tile] += fired
             if logs is not None:
                 log = logs.get(device_id)
                 if log is None:
@@ -282,71 +354,144 @@ class ShardSim:
     # -- window-edge exchange ----------------------------------------------
 
     def collect_exchange(self) -> ShardExchange:
-        """Refresh owned state from the world and package border traffic.
+        """Re-evaluate ownership and package border traffic.
 
         Ownership is re-evaluated from each device's exact position
         (the same pure float function on every shard), through one
-        ``route`` call that a device which did not move skips.  The
-        old owner announces both the migration and the ghost exports
-        for a departing device, so a window edge costs exactly one
-        gather/scatter round through the coordinator.  A ghost export
-        to a shard this one exported the device to at the previous
-        edge is a kept entry; any other is a full snapshot.  When the
-        run rebalances, the exchange also carries per-tile loads — each
-        owned device contributes ``1 + scan events this window`` to
-        the tile it stands in — which feed the coordinator's
-        rebalancer.
+        ``route`` call; a routed device's state takes that position.
+        The old owner announces both the migration and the ghost
+        exports for a departing device, so a window edge costs exactly
+        one gather/scatter round through the coordinator.  A ghost
+        export to a shard this one exported the device to at the
+        previous edge is a kept entry; any other is a full snapshot.
+        When the run rebalances, the exchange also carries per-tile
+        loads — each owned device contributes ``1 + scan events this
+        window`` to the tile it stands in — which feed the
+        coordinator's rebalancer.
+
+        The edge walks what can have changed: each walker (a box test
+        while it stays where its route holds) and each arrival, in
+        owned order, so emigrants leave in that order.  A stationary
+        device that did neither keeps its route, so it still owns
+        itself and its ghosts stay kept entries of the maintained
+        export record.  After a map adoption every owned device is
+        routed once.
         """
         exchange = ShardExchange()
-        migrations = exchange.migrations
-        snapshots = exchange.snapshots
         kept = exchange.kept
         tile_loads = exchange.tile_loads
-        halo = self.config.halo
-        route = self.partition.route
-        routes = self._routes
-        previous = self._exported
-        exported: dict[str, tuple[int, ...]] = {}
         rebalance = self.config.rebalance
-        shard_id = self.shard_id
         scan_events = self._scan_events
-        node = self.world.node
+        routes = self._routes
+        walkers = self._walkers
+        owned = self.owned
+        stale = owned if self._reroute_all else self._arrivals
         emigrants: list[str] = []
-        for device_id, state in self.owned.items():
-            position = node(device_id).position
-            x = state.x = position.x
-            y = state.y = position.y
-            memo = routes.get(device_id)
-            if memo is None or memo[0] != x or memo[1] != y:
-                tile, owner, targets = route(x, y, halo)
-                if targets == (owner,):
-                    targets = ()
-                else:
-                    targets = tuple(target for target in targets
-                                    if target != owner)
-                memo = routes[device_id] = (x, y, tile, owner, targets)
-            _, _, tile, owner, targets = memo
-            if owner != shard_id:
-                migrations.append((owner, state))
-                emigrants.append(device_id)
-            if targets:
-                held = previous.get(device_id, ())
-                for target in targets:
-                    if target in held:
-                        kept.append((target, (device_id, x, y)))
-                    else:
-                        snapshots.append((target, state))
-                exported[device_id] = targets
+        for device_id, node in walkers.items():
+            if device_id in stale:
+                continue
+            position = node.position
+            x = position.x
+            y = position.y
+            memo = routes[device_id]
+            if memo[0] <= x <= memo[1] and memo[2] <= y <= memo[3]:
+                tile = memo[4]
+                if memo[6]:
+                    entry = (device_id, x, y)
+                    for target in memo[6]:
+                        kept.append((target, entry))
+            else:
+                tile = self._reroute(device_id, owned[device_id], True,
+                                     exchange, emigrants)
             if rebalance:
                 tile_loads[tile] = (tile_loads.get(tile, 0) + 1
                                     + scan_events.get(device_id, 0))
-        self._exported = exported
+        still_kept = self._still_kept
+        for device_id in stale:
+            walker = device_id in walkers
+            tile = self._reroute(device_id, owned[device_id], walker,
+                                 exchange, emigrants)
+            if not walker:
+                still_kept = None
+            elif rebalance:
+                tile_loads[tile] = (tile_loads.get(tile, 0) + 1
+                                    + scan_events.get(device_id, 0))
+        if still_kept is None:
+            # Rebuild the stationary exports' kept entries; the stale
+            # ones shipped theirs from ``_reroute`` at this edge.
+            still_kept = []
+            for device_id, targets in self._exported.items():
+                if device_id in walkers:
+                    continue
+                state = owned[device_id]
+                entry = (device_id, state.x, state.y)
+                entries = [(target, entry) for target in targets]
+                if device_id not in stale:
+                    kept.extend(entries)
+                still_kept.extend(entries)
+            self._still_kept = still_kept
+        else:
+            kept.extend(still_kept)
+        if rebalance:
+            still_scans = self._still_scans
+            for tile, count in enumerate(self._still_per_tile):
+                if count:
+                    tile_loads[tile] = (tile_loads.get(tile, 0) + count
+                                        + still_scans[tile])
+            self._still_scans = [0] * len(still_scans)
+        self._arrivals = {}
+        self._reroute_all = False
         self._emigrant_ids = emigrants
         self.migrations_out += len(emigrants)
         exchange.window_events = self.device_events - self._events_at_collect
         self._events_at_collect = self.device_events
         self._scan_events = {}
         return exchange
+
+    def _reroute(self, device_id: str, state: DeviceState, walker: bool,
+                 exchange: ShardExchange, emigrants: list[str]) -> int:
+        """Route one owned device afresh into ``exchange`` and return
+        its tile.
+
+        A walker that stays keeps a box memo: the old box when the
+        device is still inside it (only the map changed), else a new
+        one.
+        """
+        position = self.world.node(device_id).position
+        x = state.x = position.x
+        y = state.y = position.y
+        halo = self.config.halo
+        partition = self.partition
+        tile, owner, targets = partition.route(x, y, halo)
+        if targets == (owner,):
+            targets = ()
+        else:
+            targets = tuple(target for target in targets if target != owner)
+        if owner != self.shard_id:
+            exchange.migrations.append((owner, state))
+            emigrants.append(device_id)
+        elif walker:
+            memo = self._routes.get(device_id)
+            if (memo is not None and memo[0] <= x <= memo[1]
+                    and memo[2] <= y <= memo[3]):
+                box = memo[:4]
+            else:
+                box = partition.route_box(x, y, halo)
+            self._routes[device_id] = (*box, tile, owner, targets)
+        exported = self._exported
+        held = exported.get(device_id, ())
+        if targets:
+            kept = exchange.kept
+            snapshots = exchange.snapshots
+            for target in targets:
+                if target in held:
+                    kept.append((target, (device_id, x, y)))
+                else:
+                    snapshots.append((target, state))
+            exported[device_id] = targets
+        elif held:
+            del exported[device_id]
+        return tile
 
     def final_window_events(self) -> int:
         """Device events fired since the last exchange (for the last
@@ -360,11 +505,12 @@ class ShardSim:
         (``collect_exchange``), where devices standing in reassigned
         tiles migrate through the ordinary exchange path.  Every shard
         adopts the same map at the same window edge, so ownership
-        stays a shard-invariant pure function.  Routes memoised under
-        the old map are dropped.
+        stays a shard-invariant pure function.  The next edge routes
+        every owned device under the new map; the walkers' boxes,
+        which no map moves, stay.
         """
         self.partition = self.partition.with_map(tile_map)
-        self._routes.clear()
+        self._reroute_all = True
 
     def apply_exchange(self, immigrants: list[DeviceState],
                        snapshots: list[DeviceState],
@@ -390,7 +536,7 @@ class ShardSim:
         with self.world.batch():
             for device_id in self._emigrant_ids:
                 self._uninstall(device_id)
-                del self.owned[device_id]
+                self._disown(device_id)
             self._emigrant_ids = []
             for device_id in [ghost_id for ghost_id in self.ghosts
                               if ghost_id not in fresh_ghost_ids]:

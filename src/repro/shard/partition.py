@@ -12,7 +12,10 @@ A partition answers two questions for the sharded engine:
   owner exports its state there at the window edge.
 
 The engine asks both questions, plus the tile a device stands in, in
-one ``route(x, y, halo)`` call per owned device per window edge.
+one ``route(x, y, halo)`` call.  For a walker it also asks
+``route_box(x, y, halo)``: the box of positions around it where that
+answer cannot change, so the walker is routed again only once it
+leaves the box.
 
 :class:`TilePartition` cuts the bounds into a grid of tiles with an
 explicit tile→shard map.  Ownership is two floor-divisions and a table
@@ -37,6 +40,9 @@ engine materialises the live partition object from it.
 
 from __future__ import annotations
 
+import math
+import struct
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.mobility.geometry import Rect
@@ -99,7 +105,8 @@ class TilePartition:
     """
 
     __slots__ = ("bounds", "shards", "tiles_x", "tiles_y", "tile_width",
-                 "tile_height", "tile_map", "_one_owner")
+                 "tile_height", "tile_map", "_one_owner", "_owners",
+                 "_intervals")
 
     def __init__(self, bounds: Rect, shards: int,
                  tiles: tuple[int, int],
@@ -133,6 +140,14 @@ class TilePartition:
             all(self.tile_map[neighbor] == owner
                 for neighbor in self.tile_neighbors(tile))
             for tile, owner in enumerate(self.tile_map))
+        #: ``(column_lo, column_hi, row_lo, row_hi)`` -> the sorted
+        #: owners of that index box under this map.
+        self._owners: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
+        #: ``(axis, shift, index)`` -> the floats on that axis, inside
+        #: the bounds, at which the index of ``u + shift`` is
+        #: ``index``.  Grid geometry only: a copy under a new map
+        #: shares it.
+        self._intervals: dict[tuple[int, float, int], tuple[float, float]] = {}
 
     # -- grid arithmetic ---------------------------------------------------
 
@@ -186,33 +201,88 @@ class TilePartition:
               halo: float) -> tuple[int, int, tuple[int, ...]]:
         """``(tile_index, owner_at, ghost_shards)`` in one pass.
 
-        The halo box's column/row indices go through the same floor
-        arithmetic as :meth:`ghost_shards`.  When they stay inside the
-        tile's 3x3 neighbourhood and one shard owns all of it, the
-        ghost set is the owner alone and the set-and-sort is skipped.
+        The six column/row indices are :func:`_grid_index` written out
+        inline, the same floor arithmetic as the separate calls.  When
+        the halo box's indices stay inside the tile's 3x3 neighbourhood
+        and one shard owns all of it, the ghost set is the owner alone;
+        any other index box looks its owners up once per map.
         """
         if halo < 0.0:
             raise ValueError(f"halo must be non-negative, got {halo!r}")
-        min_x = self.bounds.min_x
-        min_y = self.bounds.min_y
+        bounds = self.bounds
+        min_x = bounds.min_x
+        min_y = bounds.min_y
         width = self.tile_width
         height = self.tile_height
         last_column = self.tiles_x - 1
         last_row = self.tiles_y - 1
-        column = _grid_index(x, min_x, width, last_column)
-        row = _grid_index(y, min_y, height, last_row)
+        column = int((x - min_x) // width)
+        column = (0 if column < 0 else
+                  last_column if column > last_column else column)
+        row = int((y - min_y) // height)
+        row = 0 if row < 0 else last_row if row > last_row else row
         tile = row * self.tiles_x + column
         owner = self.tile_map[tile]
-        column_lo = _grid_index(x - halo, min_x, width, last_column)
-        column_hi = _grid_index(x + halo, min_x, width, last_column)
-        row_lo = _grid_index(y - halo, min_y, height, last_row)
-        row_hi = _grid_index(y + halo, min_y, height, last_row)
+        column_lo = int((x - halo - min_x) // width)
+        column_lo = (0 if column_lo < 0 else
+                     last_column if column_lo > last_column else column_lo)
+        column_hi = int((x + halo - min_x) // width)
+        column_hi = (0 if column_hi < 0 else
+                     last_column if column_hi > last_column else column_hi)
+        row_lo = int((y - halo - min_y) // height)
+        row_lo = 0 if row_lo < 0 else last_row if row_lo > last_row else row_lo
+        row_hi = int((y + halo - min_y) // height)
+        row_hi = 0 if row_hi < 0 else last_row if row_hi > last_row else row_hi
         if (self._one_owner[tile] and column - 1 <= column_lo
                 and column_hi <= column + 1 and row - 1 <= row_lo
                 and row_hi <= row + 1):
             return tile, owner, (owner,)
-        return tile, owner, self._box_owners(column_lo, column_hi,
-                                             row_lo, row_hi)
+        key = (column_lo, column_hi, row_lo, row_hi)
+        owners = self._owners.get(key)
+        if owners is None:
+            owners = self._owners[key] = self._box_owners(*key)
+        return tile, owner, owners
+
+    def route_box(self, x: float, y: float,
+                  halo: float) -> tuple[float, float, float, float]:
+        """``(lo_x, hi_x, lo_y, hi_y)``: the box of positions around
+        ``(x, y)`` on which ``route(·, ·, halo)`` answers as at
+        ``(x, y)``, under any map.
+
+        ``route`` reads six clamped floor indices, three per axis: of
+        the coordinate ``u``, of ``u - halo`` and of ``u + halo``.
+        Each is monotone in ``u``, so the floats that keep one index
+        form an interval, and the box is the intersection of the six.
+        Each interval is found once per grid and halo with the same
+        arithmetic (:func:`_index_interval`), not a margin, so the box
+        is exact: its edge keeps the answer, the next float past it
+        changes an index, and it never leaves the bounds.  ``(x, y)``
+        must lie inside the bounds.
+        """
+        bounds = self.bounds
+        if not (bounds.min_x <= x <= bounds.max_x
+                and bounds.min_y <= y <= bounds.max_y):
+            raise ValueError(f"({x!r}, {y!r}) lies outside {bounds!r}")
+        return (*self._span(0, x, halo, bounds.min_x, bounds.max_x,
+                            self.tile_width, self.tiles_x - 1),
+                *self._span(1, y, halo, bounds.min_y, bounds.max_y,
+                            self.tile_height, self.tiles_y - 1))
+
+    def _span(self, axis: int, value: float, halo: float, low: float,
+              high: float, step: float, last: int) -> tuple[float, float]:
+        """The floats around ``value`` on one axis that keep the
+        indices of ``u``, ``u - halo`` and ``u + halo``."""
+        lo, hi = low, high
+        for shift in (0.0, -halo, halo):
+            index = _grid_index(value + shift, low, step, last)
+            key = (axis, shift, index)
+            interval = self._intervals.get(key)
+            if interval is None:
+                interval = self._intervals[key] = _index_interval(
+                    value, shift, index, low, high, step, last)
+            lo = max(lo, interval[0])
+            hi = min(hi, interval[1])
+        return lo, hi
 
     def _box_owners(self, column_lo: int, column_hi: int, row_lo: int,
                     row_hi: int) -> tuple[int, ...]:
@@ -260,8 +330,10 @@ class TilePartition:
 
     def with_map(self, tile_map: tuple[int, ...]) -> TilePartition:
         """A copy of this partition under a new tile→shard map."""
-        return TilePartition(self.bounds, self.shards,
-                             (self.tiles_x, self.tiles_y), tile_map)
+        partition = TilePartition(self.bounds, self.shards,
+                                  (self.tiles_x, self.tiles_y), tile_map)
+        partition._intervals = self._intervals
+        return partition
 
     def __repr__(self) -> str:
         return (f"TilePartition({self.tiles_x}x{self.tiles_y} tiles "
@@ -277,6 +349,86 @@ def _grid_index(value: float, origin: float, step: float, last: int) -> int:
     if index < 0:
         return 0
     return last if index > last else index
+
+
+def _index_interval(value: float, shift: float, index: int, low: float,
+                    high: float, step: float, last: int,
+                    ) -> tuple[float, float]:
+    """The floats ``u`` in ``[low, high]`` at which
+    ``_grid_index(u + shift, low, step, last)`` is ``index``, as it is
+    at ``value``.
+
+    The index flips where ``u + shift`` crosses a grid line ``low + k
+    * step``; that nominal place starts the exact search on each side.
+    """
+    def holds(u: float) -> bool:
+        return _grid_index(u + shift, low, step, last) == index
+
+    lo = low
+    if not holds(low):
+        lo = _last_holding(holds, value, low, low + index * step - shift)
+    hi = high
+    if not holds(high):
+        hi = _last_holding(holds, value, high,
+                           low + (index + 1) * step - shift)
+    return lo, hi
+
+
+#: Single float steps :func:`_last_holding` takes from the nominal edge
+#: before it bisects; the nominal edge is a few floats off at most,
+#: except where the edge lies near zero and floats there are dense.
+_MAX_STEPS = 16
+
+_DOUBLE = struct.Struct("<d")
+_BITS = struct.Struct("<Q")
+_SIGN = 1 << 63
+
+
+def _ordinal(value: float) -> int:
+    """An integer that orders as ``value`` does; adjacent floats are
+    one apart."""
+    (bits,) = _BITS.unpack(_DOUBLE.pack(value))
+    return -(bits ^ _SIGN) if bits & _SIGN else bits
+
+
+def _from_ordinal(ordinal: int) -> float:
+    bits = (-ordinal) | _SIGN if ordinal < 0 else ordinal
+    return _DOUBLE.unpack(_BITS.pack(bits))[0]
+
+
+def _last_holding(holds: Callable[[float], bool], inside: float,
+                  outside: float, nominal: float) -> float:
+    """The last float on the way from ``inside`` to ``outside`` at
+    which ``holds`` is true.
+
+    ``holds`` is true at ``inside``, false at ``outside`` and flips
+    once between them.  The search steps one float at a time with
+    :func:`math.nextafter` from ``nominal``, the edge's expected place;
+    past :data:`_MAX_STEPS` steps it bisects the floats left between
+    the last true and the first false one.
+    """
+    good, bad = inside, outside
+    probe = nominal
+    if not min(inside, outside) < probe < max(inside, outside):
+        probe = inside
+    for _ in range(_MAX_STEPS):
+        if holds(probe):
+            good = probe
+            probe = math.nextafter(probe, outside)
+        else:
+            bad = probe
+            probe = math.nextafter(probe, inside)
+        if probe == good or probe == bad:
+            return good
+    good_ordinal = _ordinal(good)
+    bad_ordinal = _ordinal(bad)
+    while abs(bad_ordinal - good_ordinal) > 1:
+        middle = (good_ordinal + bad_ordinal) // 2
+        if holds(_from_ordinal(middle)):
+            good_ordinal = middle
+        else:
+            bad_ordinal = middle
+    return _from_ordinal(good_ordinal)
 
 
 def default_tile_map(tiles: int, shards: int) -> tuple[int, ...]:

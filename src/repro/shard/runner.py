@@ -28,10 +28,11 @@ rebalancing never perturbs the simulation, only *where* it runs.
 Every run also accounts two load-quality figures the benchmarks
 report: the **imbalance factor** (sum over windows of the busiest
 shard's event count, over the per-shard mean — 1.0 is perfect) and the
-**critical path** (sum over windows of the slowest shard's busy
-seconds — the wall clock an ideal one-core-per-shard host would see,
-since the window barrier makes every window as slow as its slowest
-shard).
+**critical path** (sum over windows of the slowest shard's
+``run_window`` CPU seconds — the window compute an ideal
+one-core-per-shard host waits for at each barrier).  The critical path
+leaves out the window edges: ``collect_exchange``,
+``apply_exchange``, the pickle round trip and routing.
 
 :func:`reference_run` is the lockstep oracle: the same workload on a
 single world with no partitioning, no windows and no ghosts.  Its
@@ -210,9 +211,9 @@ SCENARIOS: dict[str, ShardWorkload] = {
     # separate the clusters by row.  The 1 s window gives the
     # rebalancer (one window of loads + one window of adoption lag)
     # time to level the map while most scan rounds are still ahead.
-    # ``flash_city_n1M`` adds drift: the hotspots themselves migrate
-    # across the map (a moving flash crowd), so no static assignment
-    # stays good and the rebalancer has to keep up.
+    # ``flash_n256`` and ``flash_city_n1M`` add drift: the hotspots
+    # themselves migrate across the map (a moving flash crowd), so no
+    # static assignment stays good and the rebalancer has to keep up.
     # (Seed 13, not 11: seed 11 happens to park the main street dead
     # on a strip boundary, halving the very imbalance these scenarios
     # exist to exhibit.)
@@ -230,6 +231,11 @@ SCENARIOS: dict[str, ShardWorkload] = {
                                                 center_spread_y=0.3,
                                                 scan_interval=2.0,
                                                 window=1.0),
+    "flash_n256": clustered_workload(256, seed=13, sim_seconds=30.0,
+                                     clusters=4, center_spread=0.05,
+                                     center_spread_y=0.3,
+                                     scan_interval=2.0, window=1.0,
+                                     drift_speed=3.0),
     "flash_city_n1M": clustered_workload(1_000_000, seed=13,
                                          sim_seconds=4.0,
                                          clusters=4,
@@ -275,10 +281,12 @@ class ShardedResult:
     #: event count, over the per-shard mean.  1.0 is perfectly level;
     #: ``shards`` means one shard did all the work.
     imbalance_factor: float = 1.0
-    #: Sum over windows of the slowest shard's busy seconds (CPU time,
-    #: so worker processes contending for cores don't pollute it) — the
-    #: wall clock an ideal one-core-per-shard host would need, since
-    #: the barrier makes each window as slow as its slowest shard.
+    #: Sum over windows of the slowest shard's ``run_window`` CPU
+    #: seconds (CPU time, so worker processes contending for cores
+    #: don't pollute it): the window compute an ideal one-core-per-shard
+    #: host waits for at each barrier.  It leaves out the window edges —
+    #: ``collect_exchange``, ``apply_exchange``, the pickle round trip
+    #: and routing — so such a host's wall clock is longer.
     critical_path_seconds: float = 0.0
 
 

@@ -222,3 +222,36 @@ class TestWorld:
     def test_node_repr(self, world):
         node = world.add_node("a", Point(1, 2))
         assert "a" in repr(node)
+
+
+class TestModelSwap:
+    """A tick steps only the nodes whose model moves them, so swapping
+    a live node's model must change which nodes a tick steps."""
+
+    def test_swap_in_and_out_of_stationary(self, env, world):
+        world.add_node("a", Point(10, 10),
+                       LinearCrossing(Point(10, 10), Point(190, 10), 1.0))
+        world.add_node("b", Point(10, 50))
+        world.add_node("c", Point(10, 90),
+                       LinearCrossing(Point(10, 90), Point(190, 90), 1.0))
+        moved = []
+        world.on_moves(lambda report: moved.append(report.moved))
+        env.run(until=0.5)
+        assert moved == [("a", "c")]
+        world.node("b").model = LinearCrossing(Point(10, 50),
+                                               Point(190, 50), 1.0)
+        env.run(until=1.0)
+        # b moves at the very next tick, between a and c as in the world.
+        assert moved[1:] == [("a", "b", "c")]
+        assert world.node("b").position == Point(10.5, 50)
+        world.node("b").model = Stationary()
+        env.run(until=2.0)
+        assert moved[2:] == [("a", "c")] * 2
+        assert world.node("b").position == Point(10.5, 50)
+
+    def test_removed_node_is_not_stepped(self, env, world):
+        node = world.add_node("a", Point(10, 10))
+        world.remove_node("a")
+        node.model = LinearCrossing(Point(10, 10), Point(100, 10), 1.0)
+        env.run(until=2.0)
+        assert node.position == Point(10, 10)

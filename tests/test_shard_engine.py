@@ -501,3 +501,146 @@ class TestScanInstants:
         assert sum(len(phases) > 1 for phases in phases_at.values()) > 10
         assert all(when != int(when) for when in phases_at)
         assert run_sharded(PHASED, 4).migrations > 0
+
+
+# -- the movers-only window edge ---------------------------------------------
+
+
+def full_walk_exchange(sim: ShardSim, since: float) -> dict:
+    """What ``collect_exchange`` must return, found the long way.
+
+    Routes every owned device where it stands, in owned order, against
+    the ghost targets the previous edge exported it to, and books each
+    device ``1 +`` the scan events its log shows since ``since`` to the
+    tile it stands in.
+    """
+    halo = sim.config.halo
+    migrations, snapshots, kept, emigrants = [], [], set(), []
+    loads: dict[int, int] = {}
+    for device_id in sim.owned:
+        position = sim.world.node(device_id).position
+        x, y = position.x, position.y
+        tile, owner, targets = sim.partition.route(x, y, halo)
+        if owner != sim.shard_id:
+            migrations.append((owner, device_id, x, y))
+            emigrants.append(device_id)
+        held = sim._exported.get(device_id, ())
+        for target in targets:
+            if target == owner:
+                continue
+            if target in held:
+                kept.add((target, (device_id, x, y)))
+            else:
+                snapshots.append((target, device_id, x, y))
+        fired = sum(1 + len(listing)
+                    for when, listing in sim.logs.get(device_id, ())
+                    if when > since)
+        loads[tile] = loads.get(tile, 0) + 1 + fired
+    return {"migrations": sorted(migrations), "snapshots": sorted(snapshots),
+            "kept": kept, "emigrants": emigrants,
+            "tile_loads": loads if sim.config.rebalance else {}}
+
+
+def _spy_edges(monkeypatch) -> list[tuple[dict, dict]]:
+    """Pair every ``collect_exchange`` result with the full walk."""
+    pairs: list[tuple[dict, dict]] = []
+    collect = ShardSim.collect_exchange
+    last_edge: dict[int, float] = {}
+
+    def checked(sim):
+        expected = full_walk_exchange(sim, last_edge.get(sim.shard_id, 0.0))
+        exchange = collect(sim)
+        last_edge[sim.shard_id] = sim.env.now
+        assert len(set(exchange.kept)) == len(exchange.kept)
+        pairs.append((expected, {
+            "migrations": sorted((target, state.device_id, state.x, state.y)
+                                 for target, state in exchange.migrations),
+            "snapshots": sorted((target, state.device_id, state.x, state.y)
+                                for target, state in exchange.snapshots),
+            "kept": set(exchange.kept), "emigrants": list(sim._emigrant_ids),
+            "tile_loads": exchange.tile_loads}))
+        return exchange
+
+    monkeypatch.setattr(ShardSim, "collect_exchange", checked)
+    return pairs
+
+
+@st.composite
+def edge_cases(draw) -> ShardedRunner:
+    """A clustered crowd on a tile grid under a scrambled map with
+    islands: walkers, drifting hotspots or nobody moving, and a
+    rebalancer that fires often."""
+    workload = clustered_workload(
+        draw(st.integers(min_value=8, max_value=40)),
+        seed=draw(st.integers(min_value=0, max_value=2**16)),
+        sim_seconds=8.0, clusters=2, center_spread=0.05,
+        center_spread_y=0.3, scan_interval=draw(st.sampled_from([1.0, 2.0])),
+        window=1.0, drift_speed=draw(st.sampled_from([0.0, 3.0])),
+        walker_fraction=draw(st.sampled_from([0.0, 0.25, 1.0])))
+    shards = draw(st.integers(min_value=2, max_value=4))
+    runner = ShardedRunner(workload, shards, processes=False,
+                           partition="tile",
+                           rebalance=draw(st.booleans()),
+                           rebalance_threshold=draw(
+                               st.sampled_from([1.0, 1.2])))
+    tiles = runner.config.partition.tiles
+    tile_map = draw(st.lists(st.integers(min_value=0, max_value=shards - 1),
+                             min_size=tiles[0] * tiles[1],
+                             max_size=tiles[0] * tiles[1]))
+    runner.config = replace(runner.config, partition=replace(
+        runner.config.partition, tile_map=tuple(tile_map)))
+    return runner
+
+
+#: A case that migrates walkers, adopts maps that move stationary
+#: devices, and books stationary scans: every path of the edge.
+BUSY_EDGES = ShardedRunner(
+    clustered_workload(40, seed=13, sim_seconds=8.0, clusters=2,
+                       center_spread=0.05, center_spread_y=0.3,
+                       scan_interval=1.0, window=1.0, drift_speed=3.0),
+    3, processes=False, partition="tile", rebalance=True,
+    rebalance_threshold=1.0)
+
+
+class TestMoversOnlyEdge:
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(runner=edge_cases())
+    @example(runner=BUSY_EDGES)
+    def test_collect_equals_the_full_walk(self, runner):
+        """Migrations, snapshots, the kept set, per-tile loads and the
+        order emigrants leave in equal a walk over every owned device,
+        at every edge of the run."""
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            pairs = _spy_edges(monkeypatch)
+            sharded = runner.run()
+        assert pairs
+        for expected, collected in pairs:
+            assert collected == expected
+        assert compare_results(reference_run(runner.workload), sharded,
+                               label_a="reference",
+                               label_b="movers-only") == []
+
+    def test_busy_case_reaches_every_path(self, monkeypatch):
+        """Guard the guard: the explicit example must migrate, adopt a
+        map that moves stationary devices, and book stationary scans."""
+        pairs = _spy_edges(monkeypatch)
+        adoptions = []
+        adopt = ShardSim.adopt_tile_map
+
+        def counting(sim, tile_map):
+            adoptions.append(sim.partition.tile_map != tuple(tile_map))
+            return adopt(sim, tile_map)
+
+        monkeypatch.setattr(ShardSim, "adopt_tile_map", counting)
+        result = BUSY_EDGES.run()
+        assert result.rebalances > 0 and any(adoptions)
+        stationary = {state.device_id
+                      for state in BUSY_EDGES.workload.build_devices()
+                      if state.model is None}
+        emigrants = [device_id for expected, _ in pairs
+                     for device_id in expected["emigrants"]]
+        assert stationary & set(emigrants)
+        assert set(emigrants) - stationary
+        assert any(result.logs[device_id] for device_id in stationary)
+        assert all(expected["tile_loads"] for expected, _ in pairs)

@@ -22,7 +22,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.mobility.geometry import Rect
+from repro.mobility.geometry import Point, Rect
 from repro.shard.balance import imbalance, rebalance_map, shard_loads
 from repro.shard.partition import (MAX_TILES, PartitionSpec, TilePartition,
                                    default_tile_map, halo_width,
@@ -396,6 +396,85 @@ class TestOnePassRoute:
             TilePartition(BOUNDS, 2, (2, 2)).route(10.0, 10.0, -1.0)
         with pytest.raises(ValueError):
             strips(BOUNDS, 2).route(10.0, 10.0, -1.0)
+
+
+def grid_indices(partition: TilePartition, x: float, y: float,
+                 halo: float) -> tuple[int, ...]:
+    """The six clamped floor indices ``route`` reads, written out."""
+    def index(value: float, origin: float, step: float, count: int) -> int:
+        return min(max(int((value - origin) // step), 0), count - 1)
+
+    bounds = partition.bounds
+    return tuple(
+        index(value + shift, origin, step, count)
+        for value, origin, step, count in (
+            (x, bounds.min_x, partition.tile_width, partition.tiles_x),
+            (y, bounds.min_y, partition.tile_height, partition.tiles_y))
+        for shift in (0.0, -halo, halo))
+
+
+def _nudge(value: float, ulps: int) -> float:
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    return value
+
+
+class TestRouteBox:
+    """A walker re-routes only once it leaves ``route_box``, so the box
+    must be exact: ``route`` answers as at its centre everywhere in it,
+    and one float past any edge inside the bounds moves an index."""
+
+    @settings(max_examples=400)
+    @given(case=route_cases(), ulps_x=st.sampled_from([-1, 0, 1]),
+           ulps_y=st.sampled_from([-1, 0, 1]))
+    # An edge near zero, where single float steps from the nominal
+    # edge would never arrive: the search has to bisect.
+    @example(case=(TilePartition(OFFSET_BOUNDS, 2, (2, 1)), -50.0, 25.0,
+                   0.0), ulps_x=0, ulps_y=0)
+    @example(case=(TilePartition(OFFSET_BOUNDS, 2, (2, 1)), 50.0, 25.0,
+                   0.0), ulps_x=0, ulps_y=0)
+    # No halo: the three indices of an axis coincide.
+    @example(case=(TilePartition(BOUNDS, 3, (4, 4)), 100.0, 300.0, 0.0),
+             ulps_x=-1, ulps_y=1)
+    def test_box_is_exact(self, case, ulps_x, ulps_y):
+        partition, x, y, halo = case
+        bounds = partition.bounds
+        point = bounds.clamp(Point(_nudge(x, ulps_x), _nudge(y, ulps_y)))
+        x, y = point.x, point.y
+        lo_x, hi_x, lo_y, hi_y = partition.route_box(x, y, halo)
+        assert bounds.min_x <= lo_x <= x <= hi_x <= bounds.max_x
+        assert bounds.min_y <= lo_y <= y <= hi_y <= bounds.max_y
+        here = grid_indices(partition, x, y, halo)
+        answer = partition.route(x, y, halo)
+        for corner_x in (lo_x, x, hi_x):
+            for corner_y in (lo_y, y, hi_y):
+                assert grid_indices(partition, corner_x, corner_y,
+                                    halo) == here
+                assert partition.route(corner_x, corner_y, halo) == answer
+        if hi_x < bounds.max_x:
+            assert grid_indices(partition, math.nextafter(hi_x, math.inf),
+                                y, halo) != here
+        if lo_x > bounds.min_x:
+            assert grid_indices(partition, math.nextafter(lo_x, -math.inf),
+                                y, halo) != here
+        if hi_y < bounds.max_y:
+            assert grid_indices(partition, x, math.nextafter(hi_y, math.inf),
+                                halo) != here
+        if lo_y > bounds.min_y:
+            assert grid_indices(partition, x,
+                                math.nextafter(lo_y, -math.inf), halo) != here
+
+    def test_map_does_not_move_the_box(self):
+        partition = TilePartition(BOUNDS, 2, (4, 4))
+        remapped = partition.with_map((1,) * 8 + (0,) * 8)
+        assert (partition.route_box(130.0, 250.0, 30.0)
+                == remapped.route_box(130.0, 250.0, 30.0))
+        assert (partition.route(130.0, 250.0, 30.0)
+                != remapped.route(130.0, 250.0, 30.0))
+
+    def test_point_outside_the_bounds_rejected(self):
+        with pytest.raises(ValueError):
+            TilePartition(BOUNDS, 2, (2, 2)).route_box(-1.0, 10.0, 5.0)
 
 
 class TestTileMapsAndPlanning:
