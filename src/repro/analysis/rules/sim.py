@@ -1,10 +1,11 @@
-"""Simulation-determinism rules (SIM001-SIM005).
+"""Simulation-determinism rules (SIM001-SIM006).
 
-SIM001-SIM004 encode the contract that makes Table 8 timings and
-parallel sweeps byte-identical: simulated code computes *only* from
-the simulation state — the event clock, the named random streams, and
-the deterministic data structures feeding them.  SIM005 guards the
-allocation discipline of the per-event hot loop (DESIGN.md §10).
+SIM001-SIM004 and SIM006 encode the contract that makes Table 8
+timings and parallel sweeps byte-identical: simulated code computes
+*only* from the simulation state — the event clock, the named random
+streams, and the deterministic data structures feeding them.  SIM005
+guards the allocation discipline of the per-event hot loop (DESIGN.md
+§10).
 """
 
 from __future__ import annotations
@@ -177,6 +178,30 @@ class UnorderedIterationRule(_SimPathRule):
                         module, target,
                         "iteration over an unordered set; the order feeds "
                         "simulation state, so wrap it in sorted(...)")
+
+
+@register
+class ObjectAddressRule(_SimPathRule):
+    code = "SIM006"
+    summary = ("no builtin id() in sim-path modules; addresses are not "
+               "simulation state")
+
+    def check(self, module: Module) -> Iterator[Finding]:
+        aliases = import_aliases(module.tree)
+        for node in ast.walk(module.tree):
+            if isinstance(node, ast.Name):
+                address = (node.id == "id" and "id" not in aliases
+                           and isinstance(node.ctx, ast.Load))
+            elif isinstance(node, ast.Attribute):
+                address = qualified_name(node, aliases) == "builtins.id"
+            else:
+                continue
+            if address:
+                yield self.finding(
+                    module, node,
+                    "id() is an object's address, which any unrelated "
+                    "allocation can move; order or key by a value the "
+                    "simulation assigns (a device id, a creation order)")
 
 
 #: Modules on the per-event hot loop: every scheduled event runs

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Generator
+from random import Random
 from typing import Any
 
 from repro.community import protocol
@@ -142,13 +143,23 @@ class CommunityClient:
         self.retry_policy = retry_policy or DEFAULT_CLIENT_POLICY
         self.retry_counters = RetryCounters()
         self.last_exchange = _NO_EXCHANGE
-        self._backoff_rng = self.env.random.stream(
-            f"retry:{library.device_id}")
+        #: Created at the first backoff: most clients never back off.
+        self._backoff_rng: Random | None = None
 
     @property
     def device_id(self) -> str:
         """Device this client runs on."""
         return self.library.device_id
+
+    def _backoff_stream(self) -> Random:
+        """This client's ``retry:<device>`` stream.  A stream's seed
+        depends on the root seed and its name only, so creating it late
+        draws the same delays."""
+        rng = self._backoff_rng
+        if rng is None:
+            rng = self._backoff_rng = self.env.random.stream(
+                f"retry:{self.device_id}")
+        return rng
 
     def _require_member(self) -> str:
         active = self.store.active
@@ -213,7 +224,8 @@ class CommunityClient:
             if attempt > 1:
                 if not policy.within_budget(started, self.env.now):
                     break
-                delay = policy.backoff_delay(attempt - 1, self._backoff_rng)
+                delay = policy.backoff_delay(attempt - 1,
+                                             self._backoff_stream())
                 self.retry_counters.record_backoff(delay)
                 yield Delay(delay)
             live: list[tuple[str, Connection]] = []
@@ -276,7 +288,8 @@ class CommunityClient:
             if attempt > 1:
                 if not policy.within_budget(started, self.env.now):
                     break
-                delay = policy.backoff_delay(attempt - 1, self._backoff_rng)
+                delay = policy.backoff_delay(attempt - 1,
+                                             self._backoff_stream())
                 self.retry_counters.record_backoff(delay)
                 yield Delay(delay)
                 self.retry_counters.record_retry(operation)

@@ -9,11 +9,17 @@ gateway hop for relayed technologies).
 Reachability is re-checked at every send, so a device walking out of
 Bluetooth range breaks the connection at the next message — which is
 what PeerHood's seamless-connectivity logic reacts to.
+
+A crowd holds thousands of pooled links that sit open and idle, so a
+half costs what it carries: the inbox is created by the first payload
+that finds no receiver waiting and dropped once drained, and a closed
+pair unlinks itself so reference counting frees it (DESIGN §10).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable
 from functools import partial
 from typing import TYPE_CHECKING, Any
 
@@ -33,9 +39,14 @@ __all__ = ["Connection", "ConnectionClosedError"]
 class Connection:
     """One endpoint of a simulated duplex link.
 
-    No ``__slots__``: the BT plugin decorates ``close`` per instance to
-    release its piconet slot.
+    ``on_close(half)`` runs once, when this half closes, whichever half
+    initiated the close; the BT plugin releases its piconet slot there.
     """
+
+    __slots__ = ("env", "medium", "local_id", "remote_id", "technology",
+                 "gateway", "peer", "owner", "on_close", "closed",
+                 "bytes_sent", "messages_sent", "retransmissions",
+                 "_busy_until", "_inbox", "_recv_waiters")
 
     def __init__(self, env: Environment, medium: Medium,
                  local_id: str, remote_id: str, technology: Technology,
@@ -48,13 +59,17 @@ class Connection:
         self.gateway = gateway
         self.peer: Connection | None = None  # wired by NetworkStack
         self.owner: NetworkStack | None = None  # wired by NetworkStack
+        self.on_close: Callable[[Connection], None] | None = None
         self.closed = False
         self.bytes_sent = 0
         self.messages_sent = 0
         self.retransmissions = 0
         self._busy_until = 0.0  # sender-side FIFO serialisation
-        self._inbox: deque[Any] = deque()
-        self._recv_waiters: deque[Signal] = deque()
+        #: Payloads no receiver was waiting for, oldest first; ``None``
+        #: while there are none.
+        self._inbox: deque[Any] | None = None
+        #: Receivers waiting for a payload, oldest first.
+        self._recv_waiters: list[Signal] = []
 
     # -- sending -------------------------------------------------------------
 
@@ -152,8 +167,11 @@ class Connection:
         # A constant name: the f-string alternative shows up in kernel
         # profiles, and recv signals are anonymous one-shots anyway.
         signal = Signal("recv")
-        if self._inbox:
-            signal.fire(self._inbox.popleft())
+        inbox = self._inbox
+        if inbox:
+            signal.fire(inbox.popleft())
+            if not inbox:
+                self._inbox = None
         elif self.closed:
             raise ConnectionClosedError(
                 f"recv on closed connection {self.local_id}<-{self.remote_id}")
@@ -163,7 +181,8 @@ class Connection:
 
     def pending(self) -> int:
         """Number of undelivered inbound payloads queued locally."""
-        return len(self._inbox)
+        inbox = self._inbox
+        return 0 if inbox is None else len(inbox)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -172,10 +191,18 @@ class Connection:
         if self.closed:
             return
         self.closed = True
+        if self.on_close is not None:
+            self.on_close(self)
         if self.owner is not None:
             self.owner._forget(self)
-        if self.peer is not None and not self.peer.closed:
-            self.peer.close()
+        peer = self.peer
+        if peer is not None:
+            if peer.closed:
+                # Both halves are closed now: unlink them, so that
+                # reference counting frees the pair.
+                self.peer = peer.peer = None
+            else:
+                peer.close()
         self._flush_waiters_with_error()
 
     def migrate(self, technology: Technology,
@@ -198,7 +225,9 @@ class Connection:
         if self.closed:
             return
         if self._recv_waiters:
-            self._recv_waiters.popleft().fire(payload)
+            self._recv_waiters.pop(0).fire(payload)
+        elif self._inbox is None:
+            self._inbox = deque((payload,))
         else:
             self._inbox.append(payload)
 
@@ -210,7 +239,7 @@ class Connection:
         # Pending receivers resume with None; protocol layers treat a
         # None payload as connection loss.
         while self._recv_waiters:
-            self._recv_waiters.popleft().fire(None)
+            self._recv_waiters.pop(0).fire(None)
 
     def __repr__(self) -> str:
         state = "closed" if self.closed else "open"

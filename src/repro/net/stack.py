@@ -40,7 +40,8 @@ class NetworkStack:
         self.registry = registry
         registry._add(device_id, self)
         self._listeners: dict[str, Callable[[Connection], None]] = {}
-        self._open: set[Connection] = set()
+        #: Live halves in creation order (the values are unused).
+        self._open: dict[Connection, None] = {}
 
     # -- server side -------------------------------------------------------
 
@@ -103,8 +104,8 @@ class NetworkStack:
         remote.peer = local
         local.owner = self
         remote.owner = remote_stack
-        self._open.add(local)
-        remote_stack._open.add(remote)
+        self._open[local] = None
+        remote_stack._open[remote] = None
         remote_stack._listeners[port](remote)
         return local
 
@@ -112,10 +113,10 @@ class NetworkStack:
 
     def open_connections(self, remote_id: str | None = None) -> list[Connection]:
         """Live connection halves owned by this stack, optionally
-        restricted to one peer.  Deterministically ordered."""
+        restricted to one peer: by peer id, then in creation order."""
         halves = [connection for connection in self._open
                   if remote_id is None or connection.remote_id == remote_id]
-        return sorted(halves, key=lambda c: (c.remote_id, id(c)))
+        return sorted(halves, key=lambda c: c.remote_id)
 
     def open_connection_count(self, remote_id: str | None = None) -> int:
         """Number of live halves (to one peer, or in total)."""
@@ -137,7 +138,7 @@ class NetworkStack:
 
     def _forget(self, connection: Connection) -> None:
         """Deregister a closed connection (called by Connection.close)."""
-        self._open.discard(connection)
+        self._open.pop(connection, None)
 
 
 class StackRegistry:

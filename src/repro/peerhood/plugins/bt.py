@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Generator
 
+from repro.net.connection import Connection
 from repro.net.stack import NetworkStack
 from repro.radio.bluetooth import BluetoothAdapter
 from repro.radio.medium import Medium
@@ -48,11 +49,9 @@ class BTPlugin(Plugin):
         except BaseException:
             self.bt.piconet.remove_slave(remote_id)
             raise
-        original_close = connection.close
-
-        def close_and_release() -> None:
-            self.bt.piconet.remove_slave(remote_id)
-            original_close()
-
-        connection.close = close_and_release  # type: ignore[method-assign]
+        connection.on_close = self._release_slot
         return connection
+
+    def _release_slot(self, connection: Connection) -> None:
+        """Close hook of a paged link: its slave slot is free again."""
+        self.bt.piconet.remove_slave(connection.remote_id)

@@ -223,15 +223,11 @@ class ShardSim:
             for state in ghosts:
                 self._install(state, self.ghosts)
         # The initial split routed every owned device where its state
-        # stands and recorded its ghost targets in ``exported``; a
-        # stationary device the world did not clamp elsewhere keeps
-        # that route, so the first edge routes only the rest.
-        node = self.world.node
-        self._arrivals = {
-            device_id: None for device_id, state in self.owned.items()
-            if device_id in self._walkers
-            or node(device_id).position.x != state.x
-            or node(device_id).position.y != state.y}
+        # stands, inside the bounds, and recorded its ghost targets in
+        # ``exported``; a stationary device keeps that route, so the
+        # first edge routes only the walkers.
+        self._arrivals = {device_id: None for device_id in self.owned
+                          if device_id in self._walkers}
 
     # -- population --------------------------------------------------------
 

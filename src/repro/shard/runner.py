@@ -46,7 +46,7 @@ import math
 import pickle
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import get_context
 from multiprocessing.connection import Connection
 
@@ -309,10 +309,20 @@ Bundle = tuple[list[DeviceState], list[DeviceState], list[KeptGhost]]
 
 def _initial_split(config: ShardConfig,
                    devices: list[DeviceState]) -> list[Split]:
-    """Per-shard (owned, ghosts, exported) for t=0."""
-    partition = config.partition.build(config.bounds, config.shards)
+    """Per-shard (owned, ghosts, exported) for t=0.
+
+    A device is routed and shipped where the world will put it: a
+    position outside the bounds is clamped into them, as
+    ``World.add_node`` does.
+    """
+    bounds = config.bounds
+    partition = config.partition.build(bounds, config.shards)
     split: list[Split] = [([], [], {}) for _ in range(config.shards)]
     for state in devices:
+        position = state.position()
+        clamped = bounds.clamp(position)
+        if clamped is not position:
+            state = replace(state, x=clamped.x, y=clamped.y)
         _, owner, targets = partition.route(state.x, state.y, config.halo)
         split[owner][0].append(state)
         ghost_targets = tuple(target for target in targets

@@ -42,6 +42,7 @@ RULE_FIXTURES = [
     ("SIM003", "simenv/bad_sim003.py", "simenv/good_sim003.py"),
     ("SIM004", "simenv/bad_sim004.py", "simenv/good_sim004.py"),
     ("SIM005", "sim005_bad/simenv/events.py", "sim005_ok/simenv/events.py"),
+    ("SIM006", "simenv/bad_sim006.py", "simenv/good_sim006.py"),
 ]
 
 
@@ -104,6 +105,22 @@ def test_sim005_scoped_to_hot_loop_filenames() -> None:
     # on the hot loop (messages.py owns encoding) stay unflagged.
     report = analyze_fixture("sim005_ok/simenv/messages.py")
     assert "SIM005" not in fired_codes(report)
+
+
+def test_sim006_fires_on_every_address_read() -> None:
+    report = analyze_fixture("simenv/bad_sim006.py")
+    sim006 = [f for f in report.findings if f.rule == "SIM006"]
+    # id(half) in a sort key, builtins.id(token), and key=id.
+    assert len(sim006) == 3
+
+
+def test_sim006_is_scoped_to_the_sim_path(tmp_path: Path) -> None:
+    harness = tmp_path / "eval" / "harness.py"
+    harness.parent.mkdir()
+    harness.write_text("def order(objects):\n"
+                       "    return sorted(objects, key=id)\n")
+    report = analyze_paths([harness], root=tmp_path)
+    assert "SIM006" not in fired_codes(report)
 
 
 # -- interprocedural rules (DET001/DET002/SHARD001/SHARD002) ----------------
@@ -343,7 +360,7 @@ def test_findings_are_sorted_and_deterministic() -> None:
 
 def test_rule_registry_is_complete() -> None:
     assert set(rule_codes()) >= {"SIM001", "SIM002", "SIM003", "SIM004",
-                                 "PROTO001", "PROTO002", "SUP001",
+                                 "SIM005", "SIM006", "PROTO001", "PROTO002", "SUP001",
                                  "PARSE001", "DET001", "DET002",
                                  "SHARD001", "SHARD002"}
 

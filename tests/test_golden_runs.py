@@ -17,7 +17,9 @@ The module needs only the standard library and ``repro``, so the same
 figures can be printed under any interpreter::
 
     PYTHONPATH=src:. python -c "from tests.test_golden_runs import *; \\
-        print(crowd_figures()); print(clustered_figures())"
+        print(crowd_figures()); print(clustered_figures()); \\
+        print(table8_figures()); print(conformance_figures()); \\
+        print(chaos_figures())"
 """
 
 from __future__ import annotations
@@ -26,11 +28,20 @@ import hashlib
 from collections.abc import Iterator
 from contextlib import contextmanager
 
-from repro.eval.metrics import discovery_stats
+from dataclasses import replace
+
+from repro.community.exchanges import CONFORMANCE_EXCHANGES
+from repro.eval.metrics import discovery_stats, summarize_testbed_faults
+from repro.eval.table8 import run_peerhood_column
 from repro.eval.testbed import Testbed
-from repro.eval.workloads import crowd_bounds, populate_crowd
+from repro.eval.workloads import (crowd_bounds, populate_crowd,
+                                  populate_neighborhood)
+from repro.net.faults import FaultConfig
+from repro.net.retry import RetryPolicy
 from repro.shard import SCENARIOS, ShardedRunner, interaction_digests
 from repro.shard.engine import ShardSim
+
+from tests.conformance.drivers import run_sim_exchange
 
 
 def _sha256(items) -> str:
@@ -99,6 +110,87 @@ def clustered_figures() -> dict:
     }
 
 
+def table8_figures() -> str:
+    """The exact ``repr`` of the Table 8 PeerHood column's task times."""
+    return repr(run_peerhood_column(seed=0, trials=3))
+
+
+def conformance_figures() -> dict:
+    """Every frame of the eight conformance exchanges on the sim backend."""
+    frames = [(exchange.name, frame.direction, frame.data)
+              for exchange in CONFORMANCE_EXCHANGES
+              for frame in run_sim_exchange(exchange).frames]
+    return {"exchanges": len(CONFORMANCE_EXCHANGES), "frames": len(frames),
+            "sha256": _sha256(frames)}
+
+
+#: The chaos loop's ops, cycled: reads, a write, a message, a transfer.
+_CHAOS_OPS = ("members", "profile", "interests", "comment", "message",
+              "download")
+
+
+def _chaos_op(app, kind: str, target: str, index: int):
+    if kind == "members":
+        return app.view_all_members()
+    if kind == "profile":
+        return app.view_member_profile(target)
+    if kind == "interests":
+        return app.view_interest_list()
+    if kind == "comment":
+        return app.comment_profile(target, f"comment {index}")
+    if kind == "message":
+        return app.send_message(target, f"subject {index}", "body")
+    return app.download_file(target, "chaos.bin")
+
+
+def chaos_figures(members: int = 5, ops: int = 48) -> dict:
+    """A closed loop of PS_* ops among WLAN members under link faults.
+
+    Faults are drops, connect failures, corruption and latency spikes
+    past the attempt timeout; flaps are left out.  Each op's result is
+    pinned with the simulated time it ended at, so a retry dropped or
+    added anywhere moves the digest even where the op still succeeds.
+    """
+    policy = RetryPolicy(max_attempts=4, base_delay_s=0.5, max_delay_s=4.0,
+                         attempt_timeout_s=2.0, budget_s=120.0)
+    bed = Testbed(seed=23, technologies=("wlan",))
+    crowd = populate_neighborhood(bed, members, shared_interest="music")
+    ids = [member.member_id for member in crowd]
+    for member in crowd:
+        member.app.client.retry_policy = policy
+        member.app.downloader.retry_policy = policy
+        member.app.share_file("chaos.bin", 48 * 1024)
+        for other in ids:
+            if other != member.member_id:
+                member.app.accept_trusted(other)
+    bed.run(30.0)
+    bed.enable_faults(replace(FaultConfig.chaos(0.15), flap_rate=0.0,
+                              latency_spike_factor=1000.0))
+    results = []
+    for index in range(ops):
+        caller = index % members
+        target = (3 * index + 2) % members
+        if target == caller:
+            target = (target + 1) % members
+        kind = _CHAOS_OPS[index % len(_CHAOS_OPS)]
+        value = bed.execute(_chaos_op(crowd[caller].app, kind, ids[target],
+                                      index), timeout=600.0)
+        results.append((kind, ids[caller], ids[target], bed.env.now,
+                        repr(value)))
+    summary = summarize_testbed_faults(bed)
+    figures = {
+        "events": bed.env.events_processed,
+        "retries": summary["client"]["retries"]
+        + summary["transfer"]["retries"],
+        "timeouts": summary["client"]["timeouts"]
+        + summary["transfer"]["timeouts"],
+        "injected": summary["faults"],
+        "results": _sha256(results),
+    }
+    bed.stop()
+    return figures
+
+
 def test_crowd_discovery_64_members():
     assert crowd_figures() == {
         "events": 4_502,
@@ -121,4 +213,32 @@ def test_crowd_clustered_n256_tile_rebalance():
                  "1671aa8aa50a068e5cfc70ea6d9fac6e"),
         "positions": ("daa907d4f5c22b02567aafc230b8ca85"
                       "e71629c86cbacd9edcc22808dc8097ac"),
+    }
+
+
+def test_table8_peerhood_column():
+    assert table8_figures() == (
+        "TaskTimes(search_s=10.536273729705817, join_s=0.0, "
+        "member_list_s=14.21435320903349, profile_s=19.069016325290736)")
+
+
+def test_conformance_sim_transcripts():
+    assert conformance_figures() == {
+        "exchanges": 8,
+        "frames": 60,
+        "sha256": ("f1ea2aec7b584fd15fc0b677fcb09e4a"
+                   "78179583c40a6addf3e7d057e4cf8635"),
+    }
+
+
+def test_ps_chaos_loop():
+    assert chaos_figures() == {
+        "events": 1_854,
+        "retries": 128,
+        "timeouts": 35,
+        "injected": {"connect_failures": 13, "drops": 72, "corruptions": 13,
+                     "latency_spikes": 35, "flaps": 0, "total": 133,
+                     "flapped_devices": {}},
+        "results": ("ed757926e426a0d57a307be1865cc639"
+                    "ed63aac726ed641301a6231b828c373c"),
     }

@@ -308,6 +308,34 @@ class TestCornerHopper:
                                label_b=f"corner{shards}") == []
 
 
+@dataclass(frozen=True)
+class OutsideWorkload(ShardWorkload):
+    """A stationary device created 30 m outside the bounds, which the
+    world clamps onto the west edge, and an observer 55 m east of it."""
+
+    def build_devices(self) -> list[DeviceState]:
+        return [DeviceState(device_id="far", x=-30.0, y=100.0),
+                DeviceState(device_id="obs", x=55.0, y=100.0)]
+
+
+OUTSIDE = OutsideWorkload(count=2, seed=0, sim_seconds=5.0,
+                          bounds=Rect(0.0, 0.0, 200.0, 200.0), tick=1.0,
+                          scan_interval=1.0, window=1.0)
+
+
+def test_device_outside_the_bounds_is_split_where_the_world_puts_it():
+    """The initial split must route a device at its clamped position:
+    from its raw one, ``far`` was ghosted to no shard and missing from
+    ``obs``'s first scan in shard 1."""
+    reference = reference_run(OUTSIDE)
+    assert reference.events == 20
+    assert reference.logs is not None
+    assert reference.logs["obs"][0] == (0.5, ("far",))
+    sharded = run_sharded(OUTSIDE, 4)
+    assert compare_results(reference, sharded, label_a="reference",
+                           label_b="shards4") == []
+
+
 # -- the delta ghost exchange -------------------------------------------------
 
 #: A crowd where nothing moves: every border ghost persists from window
