@@ -4,8 +4,9 @@
 Run:
     python scripts/perf_gate.py BASE      # e.g. origin/main, HEAD, a49270f
 
-Checks ``BASE`` out into a temporary git worktree and copies this
-tree's ``bench/`` and ``BENCHMARK.json`` over it, so both sides run one
+Extracts ``BASE`` into a temporary directory with ``git archive BASE
+| tar -x`` (nothing is written under ``.git``) and copies this tree's
+``bench/`` and ``BENCHMARK.json`` over it, so both sides run one
 benchmark.  For ``i`` in ``0..PAIRS-1`` it runs ``bench/run.py --seed i
 --seconds SECONDS`` on both trees, the base first on even ``i`` and
 this tree first on odd ``i``.  This tree is the working tree, so
@@ -51,6 +52,18 @@ def bench_run(tree: Path, seed: int, out: Path) -> bool:
     return subprocess.run(command, cwd=tree).returncode == 0
 
 
+def checkout(base: str, tree: Path) -> None:
+    """Extract ``base``'s committed files into the new directory
+    ``tree``: ``git archive base | tar -x``."""
+    tree.mkdir(parents=True)
+    with subprocess.Popen(["git", "-C", str(REPO_ROOT), "archive", base],
+                          stdout=subprocess.PIPE) as archive:
+        extract = subprocess.run(["tar", "-x", "-C", str(tree)],
+                                 stdin=archive.stdout)
+    if archive.returncode != 0 or extract.returncode != 0:
+        raise RuntimeError(f"could not extract {base!r} with git archive")
+
+
 def gate(base_tree: Path) -> int:
     sides = {"base": base_tree, "head": REPO_ROOT}
     for pair in range(PAIRS):
@@ -83,19 +96,12 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="perf-gate-") as scratch:
         base_tree = Path(scratch) / "base"
-        subprocess.run(["git", "-C", str(REPO_ROOT), "worktree", "add",
-                        "--detach", str(base_tree), args.base], check=True)
-        try:
-            shutil.rmtree(base_tree / "bench", ignore_errors=True)
-            shutil.copytree(REPO_ROOT / "bench", base_tree / "bench",
-                            ignore=shutil.ignore_patterns("out",
-                                                          "__pycache__"))
-            shutil.copy2(REPO_ROOT / "BENCHMARK.json", base_tree)
-            status = gate(base_tree)
-        finally:
-            subprocess.run(["git", "-C", str(REPO_ROOT), "worktree",
-                            "remove", "--force", str(base_tree)],
-                           check=False)
+        checkout(args.base, base_tree)
+        shutil.rmtree(base_tree / "bench", ignore_errors=True)
+        shutil.copytree(REPO_ROOT / "bench", base_tree / "bench",
+                        ignore=shutil.ignore_patterns("out", "__pycache__"))
+        shutil.copy2(REPO_ROOT / "BENCHMARK.json", base_tree)
+        status = gate(base_tree)
     print(f"perf gate: exit {status} after "
           f"{time.perf_counter() - started:.0f} s", flush=True)
     return status

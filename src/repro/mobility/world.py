@@ -12,7 +12,7 @@ against an O(N²) model kept in the test.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from repro.mobility.geometry import Point, Rect, distance
 from repro.mobility.grid import SpatialGrid
@@ -137,27 +137,69 @@ class World:
     def add_node(self, node_id: str, position: Point,
                  model: MobilityModel | None = None) -> MobileNode:
         """Place a new node; raises if the id already exists."""
-        if node_id in self._nodes:
-            raise ValueError(f"node {node_id!r} already in world")
-        if not self.bounds.contains(position):
-            position = self.bounds.clamp(position)
-        node = MobileNode(node_id, position, model)
-        node._world = self
-        self._nodes[node_id] = node
-        if type(node.model) is not Stationary:
-            self._movers[node_id] = node
-        self._grid.insert(node_id, position)
-        self._notify(MovementReport(added=(node_id,)))
-        return node
+        return self.add_nodes(((node_id, position, model),))[0]
+
+    def add_nodes(self, placements: Iterable[tuple[str, Point,
+                                                   MobilityModel | None]],
+                  ) -> list[MobileNode]:
+        """Place new nodes in order, with one notification for them all.
+
+        Each ``(node_id, position, model)`` is placed as
+        :meth:`add_node` places one.  An id already in the world raises
+        ``ValueError``; the nodes placed before it stay, and are
+        reported.
+        """
+        nodes = self._nodes
+        movers = self._movers
+        bounds = self.bounds
+        insert = self._grid.insert
+        added: list[MobileNode] = []
+        ids: list[str] = []
+        try:
+            for node_id, position, model in placements:
+                if node_id in nodes:
+                    raise ValueError(f"node {node_id!r} already in world")
+                if not bounds.contains(position):
+                    position = bounds.clamp(position)
+                node = MobileNode(node_id, position, model)
+                node._world = self
+                nodes[node_id] = node
+                if type(node._model) is not Stationary:
+                    movers[node_id] = node
+                insert(node_id, position)
+                added.append(node)
+                ids.append(node_id)
+        finally:
+            if ids:
+                self._notify(MovementReport(added=tuple(ids)))
+        return added
 
     def remove_node(self, node_id: str) -> None:
         """Remove a node (device switched off / left the simulation)."""
-        if node_id not in self._nodes:
-            raise KeyError(f"node {node_id!r} not in world")
-        self._nodes.pop(node_id)._world = None
-        self._movers.pop(node_id, None)
-        self._grid.remove(node_id)
-        self._notify(MovementReport(removed=(node_id,)))
+        self.remove_nodes((node_id,))
+
+    def remove_nodes(self, node_ids: Iterable[str]) -> None:
+        """Remove nodes, with one notification for them all.
+
+        An id not in the world raises ``KeyError``; the nodes removed
+        before it stay removed, and are reported.
+        """
+        nodes = self._nodes
+        movers = self._movers
+        remove = self._grid.remove
+        removed: list[str] = []
+        try:
+            for node_id in node_ids:
+                node = nodes.pop(node_id, None)
+                if node is None:
+                    raise KeyError(f"node {node_id!r} not in world")
+                node._world = None
+                movers.pop(node_id, None)
+                remove(node_id)
+                removed.append(node_id)
+        finally:
+            if removed:
+                self._notify(MovementReport(removed=tuple(removed)))
 
     def node(self, node_id: str) -> MobileNode:
         """Look up a node by id."""

@@ -23,37 +23,49 @@ class PiconetFullError(ConnectionError):
 
 
 class Piconet:
-    """Master/slave bookkeeping for one device acting as master."""
+    """Master/slave bookkeeping for one device acting as master.
+
+    A slave holds one slot however many links the master has open to
+    it, and keeps it until the last of them closes: each
+    :meth:`add_slave` is one link, released by one
+    :meth:`remove_slave`.
+    """
 
     MAX_ACTIVE_SLAVES = 7
 
     def __init__(self, master_id: str) -> None:
         self.master_id = master_id
-        self._slaves: set[str] = set()
+        #: slave id -> links open to it.
+        self._links: dict[str, int] = {}
 
     @property
     def slaves(self) -> frozenset[str]:
         """Currently connected slave device ids."""
-        return frozenset(self._slaves)
+        return frozenset(self._links)
 
     def add_slave(self, device_id: str) -> None:
-        """Attach a slave; raises :class:`PiconetFullError` at capacity."""
+        """Open a link to a slave; a new slave raises
+        :class:`PiconetFullError` at capacity."""
         if device_id == self.master_id:
             raise ValueError("a device cannot be its own slave")
-        if device_id in self._slaves:
-            return
-        if len(self._slaves) >= self.MAX_ACTIVE_SLAVES:
+        links = self._links.get(device_id, 0)
+        if not links and len(self._links) >= self.MAX_ACTIVE_SLAVES:
             raise PiconetFullError(
                 f"piconet of {self.master_id!r} already has "
                 f"{self.MAX_ACTIVE_SLAVES} active slaves")
-        self._slaves.add(device_id)
+        self._links[device_id] = links + 1
 
     def remove_slave(self, device_id: str) -> None:
-        """Detach a slave (connection closed or device lost)."""
-        self._slaves.discard(device_id)
+        """Close a link to a slave (connection closed or device lost);
+        its slot frees with the last one."""
+        links = self._links.get(device_id, 0)
+        if links > 1:
+            self._links[device_id] = links - 1
+        elif links:
+            del self._links[device_id]
 
     def __len__(self) -> int:
-        return len(self._slaves)
+        return len(self._links)
 
 
 class BluetoothAdapter:

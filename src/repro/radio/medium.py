@@ -35,6 +35,7 @@ record per technology and valid until the topology version moves.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from typing import TYPE_CHECKING
 
 from repro.mobility.world import MovementReport, World
@@ -82,8 +83,8 @@ class Adapter:
             # Powering a radio changes who can reach whom — but only
             # for pairs involving *this* device.
             if self._medium is not None:
-                self._medium._adapter_changed(self.device_id,
-                                              self.technology.name)
+                self._medium._adapters_changed([self.device_id],
+                                               self.technology.name)
 
     @property
     def cost_incurred(self) -> float:
@@ -197,44 +198,93 @@ class Medium:
         for node_id in report.changed_ids():
             self._evict_node(node_id)
 
-    def _adapter_changed(self, device_id: str, technology_name: str) -> None:
-        """One device's adapter set or power state changed.
+    def _adapters_changed(self, device_ids: list[str],
+                          technology_name: str) -> None:
+        """These devices' adapter sets or power states changed.
 
-        Only pairs involving ``device_id`` can have changed: evict its
-        verdicts, stamp its grid cell (so listings whose disc covers it
-        re-derive) and bump the technology's roster epoch (wide-area
-        listings).
+        Only pairs involving them can have changed: evict their
+        verdicts, stamp their grid cells (so listings whose disc covers
+        one re-derive) and bump the technology's roster epoch
+        (wide-area listings) and the topology version, once for all.
         """
         self._topology_version += 1
         self._tech_epoch[technology_name] = \
             self._tech_epoch.get(technology_name, 0) + 1
-        self._evict_node(device_id)
-        self.world.touch_node(device_id)
+        evict = self._evict_node
+        touch = self.world.touch_node
+        for device_id in device_ids:
+            evict(device_id)
+            touch(device_id)
 
     # -- attachment ------------------------------------------------------
 
     def attach(self, device_id: str, technology: Technology) -> Adapter:
         """Give ``device_id`` an adapter for ``technology``."""
-        key = (device_id, technology.name)
-        if key in self._adapters:
-            raise ValueError(f"{device_id!r} already has a {technology.name} adapter")
-        adapter = Adapter(device_id, technology)
-        adapter._medium = self
-        self._adapters[key] = adapter
-        self._by_technology.setdefault(technology.name, {})[device_id] = None
-        if technology.range_m is not None:
-            # Keep grid cells at least one radio range wide so a
-            # neighbour disc overlaps a bounded number of cells.
-            self.world.require_cell_size(technology.range_m)
-        self._adapter_changed(device_id, technology.name)
-        return adapter
+        return self.attach_all((device_id,), technology)[0]
+
+    def attach_all(self, device_ids: Iterable[str],
+                   technology: Technology) -> list[Adapter]:
+        """Give each device an adapter for ``technology``, in order,
+        with one roster change for them all.
+
+        A device that already has one raises ``ValueError``; the
+        adapters given before it stay.
+        """
+        name = technology.name
+        adapters = self._adapters
+        roster = self._by_technology.get(name)
+        if roster is None:
+            roster = self._by_technology[name] = {}
+        attached: list[Adapter] = []
+        ids: list[str] = []
+        try:
+            for device_id in device_ids:
+                key = (device_id, name)
+                if key in adapters:
+                    raise ValueError(
+                        f"{device_id!r} already has a {name} adapter")
+                adapter = Adapter(device_id, technology)
+                adapter._medium = self
+                adapters[key] = adapter
+                roster[device_id] = None
+                attached.append(adapter)
+                ids.append(device_id)
+        finally:
+            if ids:
+                if technology.range_m is not None:
+                    # Keep grid cells at least one radio range wide so
+                    # a neighbour disc overlaps a bounded number of
+                    # cells.
+                    self.world.require_cell_size(technology.range_m)
+                self._adapters_changed(ids, name)
+        return attached
 
     def detach(self, device_id: str, technology_name: str) -> None:
         """Remove an adapter (device powered the radio off)."""
-        del self._adapters[(device_id, technology_name)]
-        del self._by_technology[technology_name][device_id]
-        self._neighbors_cache.pop((device_id, technology_name), None)
-        self._adapter_changed(device_id, technology_name)
+        self.detach_all((device_id,), technology_name)
+
+    def detach_all(self, device_ids: Iterable[str],
+                   technology_name: str) -> None:
+        """Remove these devices' adapters for the technology, with one
+        roster change for them all.
+
+        A device without one raises ``KeyError``; the adapters removed
+        before it stay removed.
+        """
+        adapters = self._adapters
+        roster = self._by_technology[technology_name]
+        listings = self._neighbors_cache
+        detached: list[str] = []
+        try:
+            for device_id in device_ids:
+                key = (device_id, technology_name)
+                del adapters[key]
+                del roster[device_id]
+                listings.pop(key, None)
+                detached.append(device_id)
+        finally:
+            if detached:
+                self._adapters_changed(detached, technology_name)
 
     def adapter(self, device_id: str, technology_name: str) -> Adapter | None:
         """The adapter, or ``None`` if the device lacks the technology."""

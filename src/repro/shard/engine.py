@@ -43,7 +43,12 @@ A window edge costs what moved.  A stationary device's route, exports
 and tile hold until a map is adopted, so the edge re-routes only the
 devices that arrived since the last one, and each walker only once it
 leaves the exact box around it where its route holds
-(:meth:`~repro.shard.partition.TilePartition.route_box`).
+(:meth:`~repro.shard.partition.TilePartition.route_box`).  After an
+adoption it re-routes the devices whose halo index box
+(:meth:`~repro.shard.partition.TilePartition.index_box`) holds a
+reassigned tile, and ``apply_exchange`` installs and uninstalls
+through the world's and the medium's batch forms, so a rebalance that
+moves hundreds of devices costs one batch per layer.
 """
 
 from __future__ import annotations
@@ -69,6 +74,17 @@ LogEntry = tuple[float, tuple[str, ...]]
 
 #: A ghost the destination already holds: (device id, x, y).
 KeptGhost = tuple[str, float, float]
+
+
+def _box_meets(box: tuple[int, int, int, int],
+               cells: list[tuple[int, int]]) -> bool:
+    """Whether an index box ``(column_lo, column_hi, row_lo, row_hi)``
+    holds one of the ``(column, row)`` cells."""
+    column_lo, column_hi, row_lo, row_hi = box
+    for column, row in cells:
+        if column_lo <= column <= column_hi and row_lo <= row <= row_hi:
+            return True
+    return False
 
 
 def shard_technology(radio_range: float) -> Technology:
@@ -174,9 +190,12 @@ class ShardSim:
         #: Owned devices installed since the last edge, in owned order:
         #: the next edge routes them afresh.
         self._arrivals: dict[str, None] = {}
-        #: Whether the next edge re-routes every owned device, because
-        #: a new tile map was adopted.
-        self._reroute_all = False
+        #: Tiles whose owner changed since the last edge.
+        self._remapped: set[int] = set()
+        #: scan phase -> its owned devices, in owned order, each with
+        #: its install rank (owned order across phases).
+        self._scanners: dict[float, dict[str, int]] = {}
+        self._installs = 0
         #: device id -> this shard's segment of its interaction log.
         self.logs: dict[str, list[LogEntry]] = {}
         #: Device-attributable events fired here: one per owned-walker
@@ -198,6 +217,10 @@ class ShardSim:
         #: Per tile: the scan events its stationary owned devices fired
         #: since the last exchange.
         self._still_scans = [0] * tiles
+        #: halo index box (:meth:`TilePartition.index_box`) -> the
+        #: stationary owned devices with that box.
+        self._still_boxes: dict[tuple[int, int, int, int],
+                                dict[str, None]] = {}
         #: walker -> scan events fired since the last exchange.
         self._scan_events: dict[str, int] = {}
         #: ``device_events`` reading at the last exchange — the delta
@@ -217,11 +240,8 @@ class ShardSim:
         self._routes: dict[str, tuple[float, float, float, float,
                                       int, int, tuple[int, ...]]] = {}
         self.world.on_moves(self._count_owned_moves)
-        with self.world.batch():
-            for state in owned:
-                self._install(state, self.owned)
-            for state in ghosts:
-                self._install(state, self.ghosts)
+        self._install(owned, self.owned)
+        self._install(ghosts, self.ghosts)
         # The initial split routed every owned device where its state
         # stands, inside the bounds, and recorded its ghost targets in
         # ``exported``; a stationary device keeps that route, so the
@@ -231,35 +251,70 @@ class ShardSim:
 
     # -- population --------------------------------------------------------
 
-    def _install(self, state: DeviceState,
+    def _install(self, states: list[DeviceState],
                  bucket: dict[str, DeviceState]) -> None:
-        device_id = state.device_id
-        bucket[device_id] = state
-        node = self.world.add_node(device_id, state.position(), state.model)
-        self.medium.attach(device_id, self.technology)
+        """Put ``states`` into the world, the medium and ``bucket``, in
+        order, each layer in one batch."""
+        nodes = self.world.add_nodes(
+            [(state.device_id, state.position(), state.model)
+             for state in states])
+        self.medium.attach_all([state.device_id for state in states],
+                               self.technology)
         if bucket is not self.owned:
+            for state in states:
+                bucket[state.device_id] = state
             return
-        self._arrivals[device_id] = None
-        if type(node.model) is not Stationary:
-            self._walkers[device_id] = node
-        elif self.config.rebalance:
+        partition = self.partition
+        halo = self.config.halo
+        rebalance = self.config.rebalance
+        for state, node in zip(states, nodes, strict=True):
+            device_id = state.device_id
+            bucket[device_id] = state
+            self._arrivals[device_id] = None
+            self._scanners.setdefault(state.scan_phase, {})[device_id] = \
+                self._installs
+            self._installs += 1
+            if type(node.model) is not Stationary:
+                self._walkers[device_id] = node
+                continue
             position = node.position
-            tile = self._tile_of[device_id] = self.partition.tile_index(
-                position.x, position.y)
-            self._still_per_tile[tile] += 1
+            x = position.x
+            y = position.y
+            self._still_boxes.setdefault(
+                partition.index_box(x, y, halo), {})[device_id] = None
+            if rebalance:
+                tile = self._tile_of[device_id] = partition.tile_index(x, y)
+                self._still_per_tile[tile] += 1
 
-    def _uninstall(self, device_id: str) -> None:
-        self.medium.detach(device_id, SHARD_TECH)
-        self.world.remove_node(device_id)
-        self._routes.pop(device_id, None)
+    def _uninstall(self, device_ids: list[str]) -> None:
+        """Take devices out of the world and the medium, each layer in
+        one batch."""
+        self.medium.detach_all(device_ids, SHARD_TECH)
+        self.world.remove_nodes(device_ids)
+        routes = self._routes
+        for device_id in device_ids:
+            routes.pop(device_id, None)
 
     def _disown(self, device_id: str) -> None:
-        """Drop an emigrant from the owned-device records."""
-        del self.owned[device_id]
+        """Drop an emigrant from the owned-device records (before it
+        leaves the world)."""
+        state = self.owned.pop(device_id)
+        scanners = self._scanners[state.scan_phase]
+        del scanners[device_id]
+        if not scanners:
+            del self._scanners[state.scan_phase]
         if self._walkers.pop(device_id, None) is not None:
             self._exported.pop(device_id, None)
-        elif self._exported.pop(device_id, None) is not None:
+            return
+        if self._exported.pop(device_id, None) is not None:
             self._still_kept = None
+        position = self.world.node(device_id).position
+        box = self.partition.index_box(position.x, position.y,
+                                       self.config.halo)
+        members = self._still_boxes[box]
+        del members[device_id]
+        if not members:
+            del self._still_boxes[box]
         tile = self._tile_of.pop(device_id, -1)
         if tile >= 0:
             self._still_per_tile[tile] -= 1
@@ -284,15 +339,18 @@ class ShardSim:
         along the ascending schedule, so per distinct phase a bisection
         finds the first slot past ``start`` (corrected against the
         exact sum) and the walk stops at the first slot past ``until``.
+        The devices of each phase come from an index kept in owned
+        order as devices arrive and leave; where phases meet at one
+        float instant, their install ranks merge them back into owned
+        order.
         """
         start = self.env.now
         scan_times = self.config.scan_times
         slots = len(scan_times)
-        owned = self.owned
-        phases = {state.scan_phase for state in owned.values()}
-        # phase -> the instants in this window its devices scan at
-        instants_of: dict[float, list[float]] = {}
-        for phase in phases:
+        # instant -> the phases' device lists scanning at it, one per
+        # slot of a phase
+        scanning: dict[float, list[dict[str, int]]] = {}
+        for phase, members in self._scanners.items():
             index = bisect_right(scan_times, start - phase)
             while index and scan_times[index - 1] + phase > start:
                 index -= 1
@@ -301,18 +359,22 @@ class ShardSim:
                 if when > until:
                     break
                 if when > start:
-                    instants_of.setdefault(phase, []).append(when)
+                    lists = scanning.get(when)
+                    if lists is None:
+                        scanning[when] = [members]
+                    else:
+                        lists.append(members)
                 index += 1
-        # Walking the owned devices keeps each instant's list in their
-        # order, also where different phases meet at one float instant.
-        scanning: dict[float, list[str]] = {}
-        if instants_of:
-            for device_id, state in owned.items():
-                for when in instants_of.get(state.scan_phase, ()):
-                    scanning.setdefault(when, []).append(device_id)
         call_at = self.env.call_at
         for when in sorted(scanning):
-            call_at(when, self._scan_instant, scanning[when])
+            lists = scanning[when]
+            if len(lists) == 1:
+                device_ids = list(lists[0])
+            else:
+                ranked = sorted((rank, device_id) for members in lists
+                                for device_id, rank in members.items())
+                device_ids = [device_id for _, device_id in ranked]
+            call_at(when, self._scan_instant, device_ids)
         self.env.run(until=until)
 
     def _scan_instant(self, device_ids: list[str]) -> None:
@@ -367,30 +429,40 @@ class ShardSim:
 
         The edge walks what can have changed: each walker (a box test
         while it stays where its route holds) and each arrival, in
-        owned order, so emigrants leave in that order.  A stationary
-        device that did neither keeps its route, so it still owns
-        itself and its ghosts stay kept entries of the maintained
-        export record.  After a map adoption every owned device is
-        routed once.
+        owned order, so emigrants leave in that order.  After a map
+        adoption it also routes each device whose halo index box
+        (:meth:`~repro.shard.partition.TilePartition.index_box`) holds
+        a tile that changed owner: ``route`` reads the map nowhere
+        else.  A stationary device that did none of this keeps its
+        route, so it still owns itself and its ghosts stay kept
+        entries of the maintained export record.
         """
         exchange = ShardExchange()
         kept = exchange.kept
         tile_loads = exchange.tile_loads
         rebalance = self.config.rebalance
+        halo = self.config.halo
         scan_events = self._scan_events
         routes = self._routes
         walkers = self._walkers
         owned = self.owned
-        stale = owned if self._reroute_all else self._arrivals
+        arrivals = self._arrivals
+        tiles_x = self.partition.tiles_x
+        # (column, row) of each tile that changed owner
+        remapped = [(tile % tiles_x, tile // tiles_x)
+                    for tile in self._remapped]
+        index_box = self.partition.index_box
         emigrants: list[str] = []
         for device_id, node in walkers.items():
-            if device_id in stale:
+            if device_id in arrivals:
                 continue
             position = node.position
             x = position.x
             y = position.y
             memo = routes[device_id]
-            if memo[0] <= x <= memo[1] and memo[2] <= y <= memo[3]:
+            if (memo[0] <= x <= memo[1] and memo[2] <= y <= memo[3]
+                    and not (remapped and _box_meets(index_box(x, y, halo),
+                                                     remapped))):
                 tile = memo[4]
                 if memo[6]:
                     entry = (device_id, x, y)
@@ -402,8 +474,18 @@ class ShardSim:
             if rebalance:
                 tile_loads[tile] = (tile_loads.get(tile, 0) + 1
                                     + scan_events.get(device_id, 0))
-        still_kept = self._still_kept
-        for device_id in stale:
+        # Stationary devices whose route the new map may change.
+        rerouted: dict[str, None] = {}
+        if remapped:
+            for box, members in self._still_boxes.items():
+                if _box_meets(box, remapped):
+                    rerouted.update((device_id, None) for device_id in members
+                                    if device_id not in arrivals)
+        for device_id in rerouted:
+            self._reroute(device_id, owned[device_id], False, exchange,
+                          emigrants)
+        still_kept = None if rerouted else self._still_kept
+        for device_id in arrivals:
             walker = device_id in walkers
             tile = self._reroute(device_id, owned[device_id], walker,
                                  exchange, emigrants)
@@ -412,8 +494,13 @@ class ShardSim:
             elif rebalance:
                 tile_loads[tile] = (tile_loads.get(tile, 0) + 1
                                     + scan_events.get(device_id, 0))
+        if rerouted and emigrants:
+            # The stationary pass broke owned order.
+            leaving = set(emigrants)
+            emigrants = [device_id for device_id in owned
+                         if device_id in leaving]
         if still_kept is None:
-            # Rebuild the stationary exports' kept entries; the stale
+            # Rebuild the stationary exports' kept entries; the routed
             # ones shipped theirs from ``_reroute`` at this edge.
             still_kept = []
             for device_id, targets in self._exported.items():
@@ -422,7 +509,7 @@ class ShardSim:
                 state = owned[device_id]
                 entry = (device_id, state.x, state.y)
                 entries = [(target, entry) for target in targets]
-                if device_id not in stale:
+                if device_id not in arrivals and device_id not in rerouted:
                     kept.extend(entries)
                 still_kept.extend(entries)
             self._still_kept = still_kept
@@ -436,7 +523,7 @@ class ShardSim:
                                         + still_scans[tile])
             self._still_scans = [0] * len(still_scans)
         self._arrivals = {}
-        self._reroute_all = False
+        self._remapped = set()
         self._emigrant_ids = emigrants
         self.migrations_out += len(emigrants)
         exchange.window_events = self.device_events - self._events_at_collect
@@ -502,11 +589,16 @@ class ShardSim:
         tiles migrate through the ordinary exchange path.  Every shard
         adopts the same map at the same window edge, so ownership
         stays a shard-invariant pure function.  The next edge routes
-        every owned device under the new map; the walkers' boxes,
-        which no map moves, stay.
+        the owned devices whose halo index box holds a reassigned
+        tile under the new map; the walkers' boxes, which no map
+        moves, stay.
         """
+        old = self.partition.tile_map
         self.partition = self.partition.with_map(tile_map)
-        self._reroute_all = True
+        self._remapped.update(
+            tile for tile, (was, now)
+            in enumerate(zip(old, self.partition.tile_map, strict=True))
+            if was != now)
 
     def apply_exchange(self, immigrants: list[DeviceState],
                        snapshots: list[DeviceState],
@@ -517,7 +609,11 @@ class ShardSim:
         This window's ghosts are the snapshots plus the kept entries;
         any other ghost is dropped.  Removals run before additions so
         a device converting between owned and ghost (either direction)
-        passes through a clean remove/insert.  A ghost already held —
+        passes through a clean remove/insert; each is one batch per
+        layer (``World.remove_nodes``/``add_nodes``,
+        ``Medium.detach_all``/``attach_all``), so the world notifies
+        and the medium bumps its epochs once per batch, not once per
+        device.  A ghost already held —
         every kept entry, and a snapshot from an exporter that took
         over the device — keeps its live local replica untouched: it
         is bit-identical by the exactness invariant, which
@@ -528,26 +624,25 @@ class ShardSim:
         """
         fresh_ghost_ids = {state.device_id for state in snapshots}
         fresh_ghost_ids.update([device_id for device_id, _, _ in kept])
-        verify = self.config.verify_ghosts
-        with self.world.batch():
-            for device_id in self._emigrant_ids:
-                self._uninstall(device_id)
-                self._disown(device_id)
-            self._emigrant_ids = []
-            for device_id in [ghost_id for ghost_id in self.ghosts
-                              if ghost_id not in fresh_ghost_ids]:
-                self._uninstall(device_id)
-                del self.ghosts[device_id]
-            for state in immigrants:
-                self._install(state, self.owned)
+        ghosts = self.ghosts
+        emigrants = self._emigrant_ids
+        for device_id in emigrants:
+            self._disown(device_id)
+        dropped = [ghost_id for ghost_id in ghosts
+                   if ghost_id not in fresh_ghost_ids]
+        self._uninstall(emigrants + dropped)
+        for device_id in dropped:
+            del ghosts[device_id]
+        self._emigrant_ids = []
+        self._install(immigrants, self.owned)
+        if self.config.verify_ghosts:
             for state in snapshots:
-                if state.device_id not in self.ghosts:
-                    self._install(state, self.ghosts)
-                elif verify:
+                if state.device_id in ghosts:
                     self._verify_replica(state.device_id, state.x, state.y)
-            if verify:
-                for device_id, x, y in kept:
-                    self._verify_replica(device_id, x, y)
+            for device_id, x, y in kept:
+                self._verify_replica(device_id, x, y)
+        self._install([state for state in snapshots
+                       if state.device_id not in ghosts], ghosts)
         if tile_map is not None:
             self.adopt_tile_map(tile_map)
 

@@ -15,7 +15,9 @@ The engine asks both questions, plus the tile a device stands in, in
 one ``route(x, y, halo)`` call.  For a walker it also asks
 ``route_box(x, y, halo)``: the box of positions around it where that
 answer cannot change, so the walker is routed again only once it
-leaves the box.
+leaves the box.  ``index_box(x, y, halo)`` names the tiles the answer
+reads the map at, so after a map change only a device whose index
+box holds a reassigned tile is routed again.
 
 :class:`TilePartition` cuts the bounds into a grid of tiles with an
 explicit tile→shard map.  Ownership is two floor-divisions and a table
@@ -242,6 +244,37 @@ class TilePartition:
         if owners is None:
             owners = self._owners[key] = self._box_owners(*key)
         return tile, owner, owners
+
+    def index_box(self, x: float, y: float,
+                  halo: float) -> tuple[int, int, int, int]:
+        """``(column_lo, column_hi, row_lo, row_hi)``: the tiles the
+        halo box around ``(x, y)`` spans, by the clamped floor
+        arithmetic ``route`` applies.
+
+        They hold the tile at ``(x, y)``, and ``route`` reads the map
+        at them alone, so its answer changes with the map only where
+        one of them changes owner.  The box does not depend on the
+        map.  The four indices are :func:`_grid_index` written out
+        inline, as in ``route``.
+        """
+        bounds = self.bounds
+        min_x = bounds.min_x
+        min_y = bounds.min_y
+        width = self.tile_width
+        height = self.tile_height
+        last_column = self.tiles_x - 1
+        last_row = self.tiles_y - 1
+        column_lo = int((x - halo - min_x) // width)
+        column_lo = (0 if column_lo < 0 else
+                     last_column if column_lo > last_column else column_lo)
+        column_hi = int((x + halo - min_x) // width)
+        column_hi = (0 if column_hi < 0 else
+                     last_column if column_hi > last_column else column_hi)
+        row_lo = int((y - halo - min_y) // height)
+        row_lo = 0 if row_lo < 0 else last_row if row_lo > last_row else row_lo
+        row_hi = int((y + halo - min_y) // height)
+        row_hi = 0 if row_hi < 0 else last_row if row_hi > last_row else row_hi
+        return column_lo, column_hi, row_lo, row_hi
 
     def route_box(self, x: float, y: float,
                   halo: float) -> tuple[float, float, float, float]:

@@ -49,6 +49,7 @@ import time
 from dataclasses import dataclass, replace
 from multiprocessing import get_context
 from multiprocessing.connection import Connection
+from typing import TypeVar
 
 from repro.mobility.geometry import Rect
 from repro.radio.medium import Medium
@@ -63,6 +64,8 @@ from repro.mobility.world import World
 
 #: Crowd lattice pitch (metres), matching the bench crowd scenarios.
 CROWD_PITCH_M = 50.0
+
+_T = TypeVar("_T")
 
 
 def _rss_mb() -> float:
@@ -290,9 +293,9 @@ class ShardedResult:
     critical_path_seconds: float = 0.0
 
 
-def _clone(state: DeviceState) -> DeviceState:
+def _clone(value: _T) -> _T:
     """Pickle round-trip — the same isolation a process hop applies."""
-    return pickle.loads(pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
+    return pickle.loads(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
 
 
 #: One shard's start: owned devices, ghost replicas, and the ghost
@@ -330,8 +333,10 @@ def _initial_split(config: ShardConfig,
         if ghost_targets:
             split[owner][2][state.device_id] = ghost_targets
         for target in ghost_targets:
-            split[target][1].append(_clone(state))
-    return split
+            split[target][1].append(state)
+    # Each shard's ghosts are copies: one pickle round trip per shard.
+    return [(owned, _clone(ghosts), exported)
+            for owned, ghosts, exported in split]
 
 
 def _route(exchanges: list[Exports], shards: int) -> list[Bundle]:
@@ -567,24 +572,29 @@ class ShardedRunner:
                 busy[sim.shard_id] += time.process_time() - started
             if index == len(boundaries) - 1:
                 break
-            exchanges = []
+            exchanges: list[Exports] = []
             shard_stats = []
             for sim in sims:
                 exchange = sim.collect_exchange()
                 shard_stats.append({"tile_loads": exchange.tile_loads,
                                     "window_events": exchange.window_events,
                                     "busy_seconds": busy[sim.shard_id]})
-                # The pickle round-trip mirrors process-mode isolation:
-                # a routed state must never share live objects with the
-                # exporting shard.  Kept entries are immutable tuples.
-                exchanges.append(
-                    ([(target, _clone(state))
-                      for target, state in exchange.migrations],
-                     [(target, _clone(state))
-                      for target, state in exchange.snapshots],
-                     exchange.kept))
+                exchanges.append((exchange.migrations, exchange.snapshots,
+                                  exchange.kept))
             busy = [0.0] * len(sims)
-            bundles = _route(exchanges, self.shards)
+            # One pickle round trip per destination bundle, as the
+            # process path sends each shard one pipe message: a routed
+            # state shares no live object with its exporter or with
+            # another shard.  Kept entries are immutable tuples and
+            # pass through.  Not one round trip per exporting
+            # exchange: a state that migrates to one shard and is a
+            # ghost snapshot for another would come out of it as one
+            # object that both shards hold.
+            bundles = [(*_clone((immigrants, snapshots)), kept)
+                       if immigrants or snapshots
+                       else (immigrants, snapshots, kept)
+                       for immigrants, snapshots, kept
+                       in _route(exchanges, self.shards)]
             new_map = stats.window(shard_stats)
             for sim, bundle in zip(sims, bundles, strict=True):
                 sim.apply_exchange(*bundle, new_map)

@@ -18,6 +18,7 @@ from repro.community.connections import BLUETOOTH_POOL_CAP
 from repro.eval.testbed import Testbed
 from repro.mobility import Point
 from repro.net import Connection
+from repro.peerhood.daemon import PHD_PORT
 from repro.radio import BLUETOOTH
 
 #: Bytes one idle pooled link may hold: both halves and the server
@@ -128,6 +129,19 @@ class TestPiconetSlots:
         # The evicted link's slot is free: the slaves are the live links.
         assert len(pool.connected_ids()) == BLUETOOTH_POOL_CAP
         assert _slaves(bed, "alice") == pool.connected_ids()
+        bed.stop()
+
+    def test_second_link_to_a_peer_keeps_its_slot(self):
+        """Two links to one peer share its slot, which frees only when
+        the last of them closes."""
+        bed, alice = _neighbourhood(1)
+        pooled, _ = self._open(bed, alice, "p0")
+        plugin = bed.devices["alice"].daemon.plugins[BLUETOOTH.name]
+        query = bed.execute(plugin.connect("p0", PHD_PORT))
+        query.close()
+        assert _slaves(bed, "alice") == ["p0"]
+        pooled.close()
+        assert _slaves(bed, "alice") == []
         bed.stop()
 
     def test_repeated_close_releases_once(self):

@@ -172,6 +172,31 @@ class TestWorld:
         with pytest.raises(KeyError):
             world.remove_node("a")
 
+    def test_batch_add_and_remove_notify_once(self, world):
+        reports = []
+        world.on_moves(reports.append)
+        nodes = world.add_nodes([("b", Point(1, 1), None),
+                                 ("a", Point(-5, 2), None)])
+        assert [node.node_id for node in nodes] == ["b", "a"]
+        assert world.bounds.contains(nodes[1].position)
+        world.remove_nodes(["a", "b"])
+        assert [(report.added, report.removed) for report in reports] == [
+            (("b", "a"), ()), ((), ("a", "b"))]
+        assert len(world) == 0
+
+    def test_batch_reports_the_nodes_placed_before_a_failure(self, world):
+        reports = []
+        world.on_moves(reports.append)
+        world.add_node("a", Point(0, 0))
+        with pytest.raises(ValueError):
+            world.add_nodes([("b", Point(1, 1), None),
+                             ("a", Point(2, 2), None)])
+        with pytest.raises(KeyError):
+            world.remove_nodes(["b", "missing"])
+        assert [(report.added, report.removed) for report in reports] == [
+            (("a",), ()), (("b",), ()), ((), ("b",))]
+        assert list(node.node_id for node in world) == ["a"]
+
     def test_nodes_within_radius(self, world):
         world.add_node("center", Point(100, 100))
         world.add_node("near", Point(103, 100))

@@ -145,6 +145,31 @@ class TestMedium:
         medium.detach("a", "bluetooth")
         assert medium.adapter("a", "bluetooth") is None
 
+    def test_batch_attach_and_detach_change_the_roster_once(self, world,
+                                                            medium):
+        for name, x in (("a", 0.0), ("b", 5.0), ("c", 8.0)):
+            world.add_node(name, Point(100 + x, 100))
+        assert medium.neighbors("a", "bluetooth") == []
+        version = medium._topology_version
+        adapters = medium.attach_all(["c", "a", "b"], BLUETOOTH)
+        assert [adapter.device_id for adapter in adapters] == ["c", "a", "b"]
+        assert medium._topology_version == version + 1
+        assert medium.neighbors("a", "bluetooth") == ["b", "c"]
+        medium.detach_all(["b", "c"], "bluetooth")
+        assert medium._topology_version == version + 2
+        assert medium.neighbors("a", "bluetooth") == []
+        assert medium.adapter("b", "bluetooth") is None
+
+    def test_batch_attach_keeps_what_it_gave_before_a_duplicate(self, world,
+                                                               medium):
+        world.add_node("a", Point(100, 100))
+        world.add_node("b", Point(103, 100))
+        medium.attach("b", BLUETOOTH)
+        with pytest.raises(ValueError):
+            medium.attach_all(["a", "b"], BLUETOOTH)
+        assert medium.adapter("a", "bluetooth") is not None
+        assert medium.neighbors("b", "bluetooth") == ["a"]
+
     def test_gprs_needs_gateway(self, world, medium):
         world.add_node("a", Point(0, 0))
         world.add_node("b", Point(190, 190))
@@ -229,6 +254,28 @@ class TestBluetooth:
     def test_master_cannot_be_own_slave(self):
         with pytest.raises(ValueError):
             Piconet("m").add_slave("m")
+
+    def test_slot_frees_with_the_last_link(self):
+        piconet = Piconet("master")
+        piconet.add_slave("s")
+        piconet.add_slave("s")
+        piconet.remove_slave("s")
+        assert piconet.slaves == frozenset({"s"})
+        piconet.remove_slave("s")
+        assert len(piconet) == 0
+        piconet.remove_slave("s")  # nothing open: a no-op
+        assert len(piconet) == 0
+
+    def test_cap_counts_peers_not_links(self):
+        piconet = Piconet("master")
+        for index in range(Piconet.MAX_ACTIVE_SLAVES):
+            piconet.add_slave(f"slave{index}")
+        piconet.add_slave("slave0")  # a second link takes no new slot
+        piconet.remove_slave("slave0")
+        with pytest.raises(PiconetFullError):
+            piconet.add_slave("new")  # slave0 still holds its slot
+        piconet.remove_slave("slave0")
+        piconet.add_slave("new")
 
     def test_inquiry_grows_with_responders(self, env):
         adapter = BluetoothAdapter("a", env.random.stream("bt"))

@@ -24,8 +24,11 @@ from repro.mobility.geometry import Point, Rect
 from repro.shard import (ShardWorkload, ShardedRunner, clustered_workload,
                          compare_results, crowd_workload,
                          interaction_digests, reference_run)
+from repro.shard import runner as runner_module
 from repro.shard.devices import DeviceState, SeededWalk
 from repro.shard.engine import GhostDivergenceError, ShardSim
+from repro.shard.partition import TilePartition
+from repro.shard.runner import _WindowStats
 
 #: Shard counts every oracle comparison covers: trivial, even splits
 #: and a count that does not divide the bounds evenly.
@@ -396,7 +399,7 @@ class TestDeltaExchange:
                     sim.world.move_node(ghost_id,
                                         Point(local.x + 1.0, local.y))
                 else:
-                    sim._uninstall(ghost_id)
+                    sim._uninstall([ghost_id])
                     del sim.ghosts[ghost_id]
 
         monkeypatch.setattr(ShardSim, "run_window", tampering)
@@ -672,3 +675,197 @@ class TestMoversOnlyEdge:
         assert set(emigrants) - stationary
         assert any(result.logs[device_id] for device_id in stationary)
         assert all(expected["tile_loads"] for expected, _ in pairs)
+
+
+# -- the batched rebalance edge ----------------------------------------------
+
+
+@st.composite
+def remap_cases(draw) -> tuple[ShardedRunner, dict[int, list[tuple[int, int]]]]:
+    """A drawn run, and the tiles the coordinator hands to drawn shards
+    at drawn edges, on top of whatever map it holds."""
+    runner = draw(edge_cases())
+    columns, rows = runner.config.partition.tiles
+    edges = len(runner.config.boundaries()) - 1
+    moves = st.lists(st.tuples(st.integers(0, columns * rows - 1),
+                               st.integers(0, runner.shards - 1)),
+                     min_size=1, max_size=3)
+    return runner, draw(st.dictionaries(st.integers(0, edges - 1), moves,
+                                        max_size=edges))
+
+
+def _remap(monkeypatch, remaps: dict[int, list[tuple[int, int]]]) -> None:
+    """Have the coordinator reassign ``remaps[window]`` at those edges."""
+    window = _WindowStats.window
+    edges = [0]
+
+    def remapping(stats, shard_stats):
+        new_map = window(stats, shard_stats)
+        moves = remaps.get(edges[0])
+        edges[0] += 1
+        if moves:
+            tile_map = list(new_map or stats._tile_map)
+            for tile, shard in moves:
+                tile_map[tile] = shard
+            new_map = stats._tile_map = tuple(tile_map)
+        return new_map
+
+    monkeypatch.setattr(_WindowStats, "window", remapping)
+
+
+#: ``BUSY_EDGES`` with a few tiles moved by hand, on top of its own
+#: rebalances.
+BUSY_REMAPS = {1: [(7, 0), (12, 2)], 3: [(0, 1)], 4: [(18, 0), (19, 1)]}
+
+
+class TestRemapEdge:
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(case=remap_cases())
+    @example(case=(BUSY_EDGES, BUSY_REMAPS))
+    def test_collect_after_adoption_equals_the_full_walk(self, case):
+        """Drawn runs adopt drawn maps; every edge, those right after an
+        adoption included, equals the full walk, and the run the
+        reference."""
+        runner, remaps = case
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            _remap(monkeypatch, remaps)
+            pairs = _spy_edges(monkeypatch)
+            sharded = runner.run()
+        for expected, collected in pairs:
+            assert collected == expected
+        assert compare_results(reference_run(runner.workload), sharded,
+                               label_a="reference",
+                               label_b="remapped") == []
+
+
+def _index_box_tiles(sim: ShardSim, x: float, y: float) -> set[int]:
+    """The tiles ``route`` reads the map at for a device at ``(x, y)``:
+    the clamped floor indices of each halo edge, written out."""
+    partition = sim.partition
+    bounds = partition.bounds
+    halo = sim.config.halo
+
+    def index(value: float, origin: float, step: float, count: int) -> int:
+        return min(count - 1, max(0, int((value - origin) // step)))
+
+    columns = range(
+        index(x - halo, bounds.min_x, partition.tile_width, partition.tiles_x),
+        index(x + halo, bounds.min_x, partition.tile_width,
+              partition.tiles_x) + 1)
+    rows = range(
+        index(y - halo, bounds.min_y, partition.tile_height,
+              partition.tiles_y),
+        index(y + halo, bounds.min_y, partition.tile_height,
+              partition.tiles_y) + 1)
+    return {row * partition.tiles_x + column
+            for row in rows for column in columns}
+
+
+class TestBatchedEdge:
+    def test_edge_routes_only_what_the_map_or_a_move_changed(self,
+                                                             monkeypatch):
+        """An edge routes exactly the arrivals, the walkers out of their
+        box and the devices whose index box holds a reassigned tile;
+        ``route`` runs once for each."""
+        remapped: dict[int, set[int]] = {}
+        adopt = ShardSim.adopt_tile_map
+
+        def adopting(sim, tile_map):
+            old = sim.partition.tile_map
+            remapped.setdefault(sim.shard_id, set()).update(
+                tile for tile, (was, now)
+                in enumerate(zip(old, tile_map, strict=True)) if was != now)
+            return adopt(sim, tile_map)
+
+        routed: list[str] = []
+        reroute = ShardSim._reroute
+
+        def rerouting(sim, device_id, *args):
+            routed.append(device_id)
+            return reroute(sim, device_id, *args)
+
+        route_calls = [0]
+        route = TilePartition.route
+
+        def counting(partition, x, y, halo):
+            route_calls[0] += 1
+            return route(partition, x, y, halo)
+
+        collect = ShardSim.collect_exchange
+        checked = []
+
+        def pinned(sim):
+            changed = remapped.pop(sim.shard_id, set())
+            expected = set(sim._arrivals)
+            by_map = set()
+            for device_id in sim.owned:
+                position = sim.world.node(device_id).position
+                x, y = position.x, position.y
+                if device_id in sim._walkers and device_id not in expected:
+                    lo_x, hi_x, lo_y, hi_y = sim._routes[device_id][:4]
+                    if not (lo_x <= x <= hi_x and lo_y <= y <= hi_y):
+                        expected.add(device_id)
+                if changed & _index_box_tiles(sim, x, y):
+                    by_map.add(device_id)
+            # stationary devices routed for the map alone
+            still = by_map - expected - set(sim._walkers)
+            expected |= by_map
+            routed.clear()
+            route_calls[0] = 0
+            exchange = collect(sim)
+            assert sorted(routed) == sorted(expected)
+            assert route_calls[0] == len(expected)
+            checked.append((bool(changed), bool(still),
+                            len(expected) < len(sim.owned)))
+            return exchange
+
+        monkeypatch.setattr(ShardSim, "adopt_tile_map", adopting)
+        monkeypatch.setattr(ShardSim, "_reroute", rerouting)
+        monkeypatch.setattr(TilePartition, "route", counting)
+        monkeypatch.setattr(ShardSim, "collect_exchange", pinned)
+        _remap(monkeypatch, BUSY_REMAPS)
+        result = BUSY_EDGES.run()
+        assert result.rebalances > 0
+        # Guard the guard: an edge after an adoption re-routed
+        # stationary devices for the map alone and left others be.
+        assert (True, True, True) in checked
+
+    def test_inline_edge_clones_once_per_destination(self, monkeypatch):
+        """Each destination's immigrants and snapshots arrive as one
+        pickle round trip's output, and no two shards ever hold one
+        state or model object."""
+        cloned: list[tuple] = []
+        clone = runner_module._clone
+
+        def cloning(value):
+            copy = clone(value)
+            if isinstance(value, tuple):
+                cloned.append(copy)
+            return copy
+
+        sims: dict[int, ShardSim] = {}
+        edges = []
+        apply = ShardSim.apply_exchange
+
+        def applying(sim, immigrants, snapshots, kept, tile_map=None):
+            sims[sim.shard_id] = sim
+            assert any(copy[0] is immigrants and copy[1] is snapshots
+                       for copy in cloned) == bool(immigrants or snapshots)
+            apply(sim, immigrants, snapshots, kept, tile_map)
+            if sim.shard_id == BUSY_EDGES.shards - 1:
+                assert len(cloned) <= BUSY_EDGES.shards
+                edges.append(len(cloned))
+                cloned.clear()
+                held = [state for shard in sims.values()
+                        for state in (*shard.owned.values(),
+                                      *shard.ghosts.values())]
+                models = [state.model for state in held
+                          if state.model is not None]
+                assert len({id(state) for state in held}) == len(held)
+                assert len({id(model) for model in models}) == len(models)
+
+        monkeypatch.setattr(runner_module, "_clone", cloning)
+        monkeypatch.setattr(ShardSim, "apply_exchange", applying)
+        BUSY_EDGES.run()
+        assert edges and max(edges) == BUSY_EDGES.shards
