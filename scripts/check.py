@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Simulation-safety static analyzer CLI.
 
-Runs the :mod:`repro.analysis` rule set (SIM/PROTO file rules plus the
-interprocedural DET/SHARD rules) over the source tree and reports
-violations::
+Runs the :mod:`repro.analysis` rule set (the file-local SIM004-SIM006,
+the cross-file PROTO rules, and the call-graph DET001/DET002, SHARD001
+and SIM003) over the source tree and reports violations::
 
     python scripts/check.py                     # whole tree, human report
     python scripts/check.py --json              # JSON report on stdout
@@ -20,10 +20,13 @@ function only); every allowance is counted against
 visible, budgeted debt.
 
 Passing an explicit file list is a *partial* run: the call-graph and
-cross-file rules see only those modules, so a clean partial run is not
-the authoritative verdict — CI's full-tree run is.  ``--partial``
-acknowledges that explicitly (pre-commit uses it); without the flag a
-file-list run still works but prints the same warning.
+cross-file rules see only those modules.  A direct clock read or
+entropy draw in a listed file is still a finding (a call chain of
+length zero), but chains through unlisted files and the cross-file
+PROTO checks are not, so a clean partial run is not the authoritative
+verdict — CI's full-tree run is.  ``--partial`` acknowledges that
+explicitly (pre-commit uses it); without the flag a file-list run
+still works but prints the same warning.
 """
 
 from __future__ import annotations
@@ -51,7 +54,8 @@ DEFAULT_TARGET = REPO_ROOT / "src" / "repro"
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="check.py",
-        description="simulation-safety static analysis (SIM/PROTO rules)")
+        description="simulation-safety static analysis (SIM/PROTO/DET/"
+                    "SHARD rules)")
     parser.add_argument("paths", nargs="*", type=Path,
                         help="files to analyze (default: all of src/repro; "
                              "cross-file rules need the full-tree run)")
@@ -65,9 +69,10 @@ def main(argv: list[str] | None = None) -> int:
                         help="also write a SARIF 2.1.0 report to FILE "
                              "(code-scanning upload)")
     parser.add_argument("--partial", action="store_true",
-                        help="acknowledge a changed-file run: project "
-                             "rules see only the listed files and the "
-                             "verdict is not authoritative")
+                        help="acknowledge a changed-file run: call-graph "
+                             "and cross-file rules see only the listed "
+                             "files, so chains through other files wait "
+                             "for the full-tree run")
     parser.add_argument("--max-suppressions", type=int,
                         default=MAX_SUPPRESSIONS, metavar="N",
                         help="fail when more than N # repro: allow[...] "

@@ -9,12 +9,17 @@ nondeterminism feeding the event queue or the wire, and a protocol
 table that agrees with its server handlers and client encoders.
 
 This package makes those rules mechanical.  :mod:`repro.analysis.core`
-is a small AST rule framework (one parse and one tree walk per file,
-rules subscribe to node types); :mod:`repro.analysis.rules` holds the
-project rules; :mod:`repro.analysis.runner` walks a source tree,
-applies file- and project-scoped rules, honours ``# repro:
-allow[RULE]`` per-file suppressions, and renders human or JSON
-reports.  ``scripts/check.py`` is the CLI; CI blocks on it.
+is a small AST rule framework (one parse per file; file, project and
+context rules); :mod:`repro.analysis.callgraph` indexes every function,
+method and module body once and resolves the call edges between them;
+:mod:`repro.analysis.effects` propagates each body's clock, entropy,
+blocking and ordering effects to a fixpoint, and its tables are the
+one definition of what counts as a clock or an entropy source;
+:mod:`repro.analysis.rules` holds the project rules;
+:mod:`repro.analysis.runner` walks a source tree, applies the rules,
+honours file- or function-scoped ``# repro: allow[RULE]``
+suppressions, and renders human or JSON reports.
+``scripts/check.py`` is the CLI; CI blocks on it.
 """
 
 from repro.analysis.core import (

@@ -1,11 +1,16 @@
 """Project-wide call graph over parsed modules.
 
-The file-local rules (SIM001–SIM005) see one tree at a time, which a
-one-line helper defeats: move ``time.time()`` into ``util.py`` and the
-sim-path module that calls it looks clean.  This module builds the
-structure the interprocedural rules need — every function and method
-in the analyzed module set, plus a call edge for every call site the
-resolver can attribute to one of them.
+A rule that sees one tree at a time is defeated by a one-line helper:
+move ``time.time()`` into ``util.py`` and the sim-path module that
+calls it looks clean.  This module builds the structure the
+interprocedural rules need — an *entry* for every function and method
+in the analyzed module set, at any nesting depth, plus one
+``<module>`` entry per module for its import-time code and class
+bodies, so every line of code belongs to exactly one entry — and a
+call edge for every call site the resolver can attribute to one of
+them.  Each entry keeps its own body's nodes, collected by the one
+walk that indexes it, for the resolver, the effect seeding and the
+context rules to read.
 
 Resolution is deliberately layered from precise to conservative:
 
@@ -36,34 +41,55 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from collections.abc import Iterable
 
 from repro.analysis.core import Module
-from repro.analysis.astutil import import_aliases, qualified_name
+from repro.analysis.astutil import qualified_name
 
 #: Stable identifier of one analyzed function: ``<display_path>::<qualname>``.
 FunctionId = str
 
+#: Qualname of the entry holding a module's import-time code.
+MODULE_ENTRY = "<module>"
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
 
 @dataclass
 class FunctionInfo:
-    """One function or method in the analyzed module set."""
+    """One function, method or ``<module>`` body in the analyzed set."""
 
     function_id: FunctionId
     module: Module
-    node: ast.FunctionDef | ast.AsyncFunctionDef
+    node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Module
     #: Dotted nesting inside the module, e.g. ``ShardSim.collect_exchange``.
     qualname: str
     #: Enclosing class name for methods, ``None`` for plain functions.
     class_name: str | None
+    #: Every node of this entry's own body: nested ``def``\\ s are
+    #: entries of their own and pruned, while lambda and class bodies
+    #: run as part of this body and stay.
+    own_nodes: list[ast.AST] = field(default_factory=list, repr=False)
 
     @property
     def name(self) -> str:
-        return self.node.name
+        return self.qualname.rpartition(".")[2]
 
     @property
+    def col(self) -> int:
+        """Column of the ``def`` (0 for a ``<module>`` entry)."""
+        return getattr(self.node, "col_offset", 0)
+
+    @cached_property
     def package_parts(self) -> tuple[str, ...]:
         return tuple(self.module.display_path.split("/")[:-1])
+
+    @cached_property
+    def is_generator(self) -> bool:
+        """Whether the body yields: a simenv process coroutine."""
+        return any(isinstance(node, (ast.Yield, ast.YieldFrom))
+                   for node in self.own_nodes)
 
 
 @dataclass
@@ -97,9 +123,6 @@ class CallGraph:
     #: Call sites no layer could resolve (dynamic, builtin, lambda...).
     unresolved: list[CallSite] = field(default_factory=list)
 
-    def function_at(self, module: Module, qualname: str) -> FunctionInfo | None:
-        return self.functions.get(f"{module.display_path}::{qualname}")
-
 
 def build_call_graph(modules: Iterable[Module]) -> CallGraph:
     """Index every function in ``modules`` and resolve their call sites."""
@@ -123,15 +146,22 @@ def build_call_graph(modules: Iterable[Module]) -> CallGraph:
 
 
 class _ProjectIndex:
-    """Symbols the resolver looks up: functions, classes, module paths."""
+    """Symbols the resolver looks up: functions, classes, module paths.
+
+    Every ``def`` is an entry, but only module-scope functions and
+    classes (and those classes' methods) enter the symbol tables: the
+    resolver never dispatches to a closure or a nested class by name.
+    """
 
     def __init__(self, modules: list[Module]) -> None:
         self.functions: dict[FunctionId, FunctionInfo] = {}
-        #: module -> its functions, in source order.
+        #: module -> its entries, ``<module>`` first, then defs in
+        #: source order (pre-order: nested defs follow their parent).
         self._per_module: dict[str, list[FunctionInfo]] = {}
-        #: module display path -> top-level name -> FunctionInfo.
+        #: module display path -> module-scope name -> FunctionInfo.
         self.module_functions: dict[str, dict[str, FunctionInfo]] = {}
-        #: module display path -> class name -> {method name -> info}.
+        #: module display path -> module-scope class name ->
+        #: {method name -> info}.
         self.module_classes: dict[str, dict[str, dict[str, FunctionInfo]]] = {}
         #: class name -> {method name -> info} across the whole project
         #: (first definition wins on duplicate class names; lookups that
@@ -153,50 +183,71 @@ class _ProjectIndex:
         if parts and parts[-1] == "__init__":
             parts = parts[:-1]
         self._module_parts.append((parts, module))
-        self._index_scope(module, module.tree.body, prefix="", class_name=None)
+        entry = FunctionInfo(function_id=f"{path}::{MODULE_ENTRY}",
+                             module=module, node=module.tree,
+                             qualname=MODULE_ENTRY, class_name=None)
+        self._add(entry)
+        self._index_body(entry, prefix="")
 
-    def _index_scope(self, module: Module, body: list[ast.stmt],
-                     prefix: str, class_name: str | None) -> None:
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                qualname = f"{prefix}{node.name}"
-                info = FunctionInfo(
-                    function_id=f"{module.display_path}::{qualname}",
-                    module=module, node=node, qualname=qualname,
-                    class_name=class_name)
-                self.functions[info.function_id] = info
-                self._per_module[module.display_path].append(info)
-                if class_name is None and not prefix.count("."):
-                    self.module_functions[module.display_path][node.name] = info
-                if class_name is not None:
-                    self.methods_by_name.setdefault(node.name, []).append(info)
-                # Nested defs are indexed too (they are callers), but
-                # stay out of the symbol tables — the resolver never
-                # dispatches to a closure by name.
-                self._index_scope(module, node.body,
-                                  prefix=f"{qualname}.", class_name=None)
-            elif isinstance(node, ast.ClassDef) and class_name is None \
-                    and not prefix:
-                methods: dict[str, FunctionInfo] = {}
-                self.module_classes[module.display_path][node.name] = methods
-                self.classes.setdefault(node.name, methods)
-                for item in node.body:
-                    if isinstance(item, (ast.FunctionDef,
-                                         ast.AsyncFunctionDef)):
-                        qualname = f"{node.name}.{item.name}"
-                        info = FunctionInfo(
-                            function_id=(f"{module.display_path}::"
-                                         f"{qualname}"),
-                            module=module, node=item, qualname=qualname,
-                            class_name=node.name)
-                        self.functions[info.function_id] = info
-                        self._per_module[module.display_path].append(info)
-                        methods[item.name] = info
-                        self.methods_by_name.setdefault(item.name,
-                                                        []).append(info)
-                        self._index_scope(module, item.body,
-                                          prefix=f"{qualname}.",
-                                          class_name=None)
+    def _add(self, info: FunctionInfo) -> None:
+        self.functions[info.function_id] = info
+        self._per_module[info.module.display_path].append(info)
+
+    def _index_body(self, owner: FunctionInfo, prefix: str) -> None:
+        """Collect ``owner``'s own nodes and index every def inside it."""
+        path = owner.module.display_path
+        defs: list[tuple[ast.FunctionDef | ast.AsyncFunctionDef, str,
+                         str | None, dict[str, FunctionInfo] | None]] = []
+        self._walk(owner, owner.node, prefix, None, None, defs)
+        defs.sort(key=lambda found: (found[0].lineno, found[0].col_offset))
+        for node, def_prefix, class_name, methods in defs:
+            qualname = f"{def_prefix}{node.name}"
+            function_id = f"{path}::{qualname}"
+            if function_id in self.functions:
+                # A redefinition, e.g. a property's setter: both run.
+                function_id += f"@{node.lineno}"
+            info = FunctionInfo(function_id=function_id,
+                                module=owner.module, node=node,
+                                qualname=qualname, class_name=class_name)
+            self._add(info)
+            if not def_prefix:
+                self.module_functions[path][node.name] = info
+            elif methods is not None:
+                methods[node.name] = info
+                self.methods_by_name.setdefault(node.name, []).append(info)
+            self._index_body(info, prefix=f"{qualname}.")
+
+    def _walk(self, owner: FunctionInfo, root: ast.AST, prefix: str,
+              class_name: str | None,
+              methods: dict[str, FunctionInfo] | None,
+              defs: list) -> None:
+        """Append ``root``'s descendants to ``owner.own_nodes``.
+
+        A ``def`` is queued in ``defs`` with its qualname prefix and
+        enclosing class instead of being entered; a class body is
+        walked in place under the class's prefix.  ``methods`` is the
+        class's symbol-table entry, ``None`` unless the class sits at
+        module scope.
+        """
+        own = owner.own_nodes
+        stack = list(ast.iter_child_nodes(root))
+        while stack:
+            node = stack.pop()
+            if isinstance(node, _DEFS):
+                defs.append((node, prefix, class_name, methods))
+                continue
+            own.append(node)
+            if isinstance(node, ast.ClassDef):
+                table: dict[str, FunctionInfo] | None = None
+                if not prefix:
+                    table = {}
+                    path = owner.module.display_path
+                    self.module_classes[path][node.name] = table
+                    self.classes.setdefault(node.name, table)
+                self._walk(owner, node, f"{prefix}{node.name}.", node.name,
+                           table, defs)
+            else:
+                stack.extend(ast.iter_child_nodes(node))
 
     def functions_of(self, module: Module) -> list[FunctionInfo]:
         return self._per_module[module.display_path]
@@ -243,7 +294,7 @@ class _ModuleResolver:
     def __init__(self, index: _ProjectIndex, module: Module) -> None:
         self.index = index
         self.module = module
-        self.aliases = import_aliases(module.tree)
+        self.aliases = module.aliases
         #: class name -> attribute name -> class name, from ``__init__``
         #: assignments and class-level annotations.
         self._attr_types = self._infer_attribute_types()
@@ -252,6 +303,7 @@ class _ModuleResolver:
 
     def _infer_attribute_types(self) -> dict[str, dict[str, str]]:
         types: dict[str, dict[str, str]] = {}
+        classes = self.index.module_classes[self.module.display_path]
         for node in self.module.tree.body:
             if not isinstance(node, ast.ClassDef):
                 continue
@@ -263,20 +315,18 @@ class _ModuleResolver:
                     cls = self._class_named(item.annotation)
                     if cls is not None:
                         attrs[item.target.id] = cls
-                elif isinstance(item, (ast.FunctionDef,
-                                       ast.AsyncFunctionDef)) and \
-                        item.name == "__init__":
-                    for stmt in ast.walk(item):
-                        if isinstance(stmt, ast.Assign) and \
-                                isinstance(stmt.value, ast.Call):
-                            cls = self._constructed_class(stmt.value)
-                            if cls is None:
-                                continue
-                            for target in stmt.targets:
-                                if isinstance(target, ast.Attribute) and \
-                                        isinstance(target.value, ast.Name) \
-                                        and target.value.id == "self":
-                                    attrs[target.attr] = cls
+            init = classes.get(node.name, {}).get("__init__")
+            for stmt in init.own_nodes if init is not None else ():
+                if isinstance(stmt, ast.Assign) and \
+                        isinstance(stmt.value, ast.Call):
+                    cls = self._constructed_class(stmt.value)
+                    if cls is None:
+                        continue
+                    for target in stmt.targets:
+                        if isinstance(target, ast.Attribute) and \
+                                isinstance(target.value, ast.Name) \
+                                and target.value.id == "self":
+                            attrs[target.attr] = cls
         return types
 
     def _class_named(self, node: ast.AST) -> str | None:
@@ -318,23 +368,24 @@ class _ModuleResolver:
     # -- call resolution -----------------------------------------------
 
     def resolve_calls(self, info: FunctionInfo) -> list[CallSite]:
-        local_types = self._local_types(info.node)
-        sites: list[CallSite] = []
-        for call in _own_calls(info.node):
-            sites.append(self._resolve_call(info, call, local_types))
-        return sites
+        local_types = self._local_types(info)
+        calls = [node for node in info.own_nodes
+                 if isinstance(node, ast.Call)]
+        calls.sort(key=lambda node: (node.lineno, node.col_offset))
+        return [self._resolve_call(info, call, local_types)
+                for call in calls]
 
-    def _local_types(self, function: ast.AST) -> dict[str, str]:
+    def _local_types(self, info: FunctionInfo) -> dict[str, str]:
         """Parameter annotations plus constructor-assigned locals."""
         types: dict[str, str] = {}
-        args = getattr(function, "args", None)
+        args = getattr(info.node, "args", None)
         if args is not None:
             for arg in [*args.posonlyargs, *args.args, *args.kwonlyargs]:
                 if arg.annotation is not None:
                     cls = self._class_named(arg.annotation)
                     if cls is not None:
                         types[arg.arg] = cls
-        for node in _own_nodes(function):
+        for node in info.own_nodes:
             if isinstance(node, ast.Assign) and \
                     isinstance(node.value, ast.Call):
                 cls = self._constructed_class(node.value)
@@ -451,27 +502,6 @@ class _ModuleResolver:
 
 
 # -- tree helpers ------------------------------------------------------------
-
-
-def _own_nodes(function: ast.AST) -> list[ast.AST]:
-    """Every node in ``function``'s own body, nested defs pruned."""
-    nodes: list[ast.AST] = []
-    stack = list(ast.iter_child_nodes(function))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            continue
-        nodes.append(node)
-        stack.extend(ast.iter_child_nodes(node))
-    return nodes
-
-
-def _own_calls(function: ast.AST) -> list[ast.Call]:
-    calls = [node for node in _own_nodes(function)
-             if isinstance(node, ast.Call)]
-    calls.sort(key=lambda node: (node.lineno, node.col_offset))
-    return calls
 
 
 def _parses_as_name(text: str) -> bool:

@@ -4,8 +4,7 @@ A :class:`Module` is one parsed source file.  Rules come in two shapes:
 
 * :class:`FileRule` — examines one module at a time.  Subclasses
   implement :meth:`FileRule.check` and yield :class:`Finding`\\ s; the
-  :class:`ScopeTracker` helper answers the questions most rules ask
-  (what function am I in? is it a generator?).
+  :class:`ScopeTracker` helper says which function a node sits in.
 * :class:`ProjectRule` — examines the whole module set at once, for
   cross-file consistency checks like the protocol/handler/encoder
   triangle.
@@ -14,7 +13,7 @@ Rules self-register via the :func:`register` decorator so the runner,
 the CLI, and the tests all agree on the active rule set without a
 hand-maintained list.
 
-Suppressions are **scoped and explicit**: a ``# repro: allow[SIM001]``
+Suppressions are **scoped and explicit**: a ``# repro: allow[DET001]``
 comment at module level silences that rule for the whole file, while
 the same comment *inside a function body* silences it only for
 findings within that function's line span — the preferred, surgical
@@ -23,9 +22,10 @@ so the runner can count the findings each one absorbs, report them,
 and gate their number — an allowance is visible debt, never a silent
 one.
 
-Interprocedural rules (DET/SHARD) run through a :class:`ProjectContext`
-that builds the call graph and effect fixpoint once per analysis run
-and shares them across every :class:`ContextRule`.
+Interprocedural rules (DET, SHARD001, SIM003) run through a
+:class:`ProjectContext` that builds the call graph and effect fixpoint
+once per analysis run and shares them across every
+:class:`ContextRule`.
 """
 
 from __future__ import annotations
@@ -36,8 +36,11 @@ import io
 import re
 import tokenize
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from collections.abc import Iterable, Iterator
+
+from repro.analysis.astutil import import_aliases
 
 
 @dataclass(frozen=True, order=True)
@@ -119,8 +122,11 @@ class Module:
     tree: ast.Module
     suppressions: list[Suppression] = field(default_factory=list)
 
-    def allowed_rules(self) -> set[str]:
-        return {suppression.rule for suppression in self.suppressions}
+    @cached_property
+    def aliases(self) -> dict[str, str]:
+        """Local name -> qualified import (:func:`import_aliases`),
+        computed once and shared by the resolver and every rule."""
+        return import_aliases(self.tree)
 
 
 def parse_module(path: Path, root: Path | None = None) -> Module:
@@ -211,7 +217,7 @@ def _innermost_span(spans: list[tuple[int, int, str]],
 class Rule:
     """Common surface of every rule: a code and a one-line summary."""
 
-    #: Stable identifier, e.g. ``"SIM001"`` — what suppressions name.
+    #: Stable identifier, e.g. ``"DET001"`` — what suppressions name.
     code: str = ""
     #: One-line description shown by ``scripts/check.py --list-rules``.
     summary: str = ""
@@ -303,33 +309,15 @@ def rule_codes() -> list[str]:
 class ScopeTracker(ast.NodeVisitor):
     """Tree walk that maintains the function-nesting context rules need.
 
-    Subclasses get :attr:`function_stack` (innermost last) and
-    :meth:`in_generator` while their ``visit_*`` methods run.  The
-    tracker also records, per function node, whether it contains a
-    ``yield`` — the static signature of a simenv process coroutine.
+    Subclasses get :attr:`function_stack` (innermost last) while their
+    ``visit_*`` methods run.
     """
 
     def __init__(self) -> None:
         self.function_stack: list[ast.AST] = []
-        self._generator_cache: dict[ast.AST, bool] = {}
-
-    # -- context ---------------------------------------------------------
 
     def current_function(self) -> ast.AST | None:
         return self.function_stack[-1] if self.function_stack else None
-
-    def in_generator(self) -> bool:
-        """True when the innermost enclosing function contains ``yield``."""
-        function = self.current_function()
-        if function is None:
-            return False
-        cached = self._generator_cache.get(function)
-        if cached is None:
-            cached = _contains_yield(function)
-            self._generator_cache[function] = cached
-        return cached
-
-    # -- traversal -------------------------------------------------------
 
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
         self._walk_function(node)
@@ -343,21 +331,3 @@ class ScopeTracker(ast.NodeVisitor):
             self.generic_visit(node)
         finally:
             self.function_stack.pop()
-
-
-def _contains_yield(function: ast.AST) -> bool:
-    """Whether ``function``'s own body yields.
-
-    Nested ``def``/``lambda`` scopes are pruned from the walk — their
-    yields make *them* generators, not the enclosing function.
-    """
-    stack = list(ast.iter_child_nodes(function))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.Yield, ast.YieldFrom)):
-            return True
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            continue
-        stack.extend(ast.iter_child_nodes(node))
-    return False

@@ -1,8 +1,9 @@
 """Per-function effect inference over the project call graph.
 
-Each function gets an *effect set* — the determinism-relevant things
-running it may do — seeded from its own body and propagated caller-ward
-to a fixpoint over :mod:`repro.analysis.callgraph`:
+Each call-graph entry (function, method or ``<module>`` body) gets an
+*effect set* — the determinism-relevant things running it may do —
+seeded from its own body and propagated caller-ward to a fixpoint over
+:mod:`repro.analysis.callgraph`:
 
 * ``wall-clock`` — reads a host wall clock (``time.time``,
   ``time.perf_counter``, ``datetime.now``...);
@@ -17,6 +18,15 @@ to a fixpoint over :mod:`repro.analysis.callgraph`:
 * ``unordered-return`` — the function's return value can depend on
   the iteration order of an unordered collection (set iteration that
   escapes through ``return`` without a ``sorted(...)``).
+
+The clock and entropy kinds are seeded from every *load* of a table
+name, called or not: ``key=time.time``, ``clock = time.perf_counter``
+and ``def f(clock=time.monotonic)`` hand the clock to code that will
+call it.  ``blocking-io`` and the unseeded ``random.Random()`` are
+seeded from call sites, since only calling them blocks or draws.  These
+tables are the analyzer's one definition of a clock, an entropy source
+and a blocking call; DET001 and SIM003 query the effect sets and match
+no names themselves.
 
 The first four propagate along **every** call edge — if a callee may
 read the clock, so may its caller.  ``unordered-return`` propagates
@@ -41,7 +51,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator
 
 from repro.analysis.callgraph import (
     CallGraph,
@@ -51,7 +61,7 @@ from repro.analysis.callgraph import (
     build_call_graph,
 )
 from repro.analysis.core import Module
-from repro.analysis.astutil import statically_a_set
+from repro.analysis.astutil import qualified_name, statically_a_set
 
 # -- effect kinds ------------------------------------------------------------
 
@@ -65,7 +75,7 @@ UNORDERED_RETURN = "unordered-return"
 TRANSITIVE_EFFECTS = frozenset({WALL_CLOCK, CPU_TIME, AMBIENT_RANDOM,
                                 BLOCKING_IO})
 
-# -- the canonical call tables (rules.sim builds its sets from these) --------
+# -- the canonical call tables ------------------------------------------------
 
 #: Host wall-clock reads: couple outcomes to when/how fast the host runs.
 WALL_CLOCK_READS = frozenset({
@@ -97,8 +107,7 @@ GLOBAL_RANDOM_CALLS = frozenset({
     "random.binomialvariate",
 })
 
-#: Entropy sources beyond the global generator that SIM002's name
-#: tables never covered — the effect engine treats them identically.
+#: Entropy sources beyond the global generator: the OS entropy pool.
 OS_ENTROPY_CALLS = frozenset({
     "uuid.uuid1", "uuid.uuid4", "os.urandom", "os.getrandom",
     "random.SystemRandom",
@@ -131,8 +140,10 @@ class EffectOrigin:
     #: What was read — an external qualified name (``time.time``) or a
     #: short description for syntactic origins (``set iteration``).
     source: str
-    #: Line of the direct site, inside ``holder``'s module.
+    #: Line and column of the direct site, inside ``holder``'s module
+    #: (two reads on one line are two origins).
     line: int
+    col: int
 
 
 #: One propagation step: (callee the effect arrived through, call line).
@@ -167,7 +178,7 @@ class EffectAnalysis:
         keep = [origin for origin in origins
                 if effect is None or origin.effect == effect]
         return sorted(keep, key=lambda o: (o.effect, o.holder, o.line,
-                                           o.source))
+                                           o.col, o.source))
 
     def chain(self, function_id: FunctionId,
               origin: EffectOrigin) -> list[Step]:
@@ -193,22 +204,55 @@ class EffectAnalysis:
         """Parameter names this function may mutate, with witness lines."""
         return dict(self._mutated.get(function_id, {}))
 
+    def innermost(self, effect: str,
+                  in_scope: Callable[[FunctionInfo], bool]
+                  ) -> Iterator[tuple[FunctionInfo, EffectOrigin, list[Step]]]:
+        """Each origin of ``effect`` at the innermost in-scope function
+        of its chain, as ``(function, origin, chain)``.
+
+        An in-scope function holding the effect is yielded unless some
+        callee on its chain down to the direct site is in scope too:
+        that callee speaks for the origin, and callers further out
+        would repeat it.  A direct site in scope therefore comes back
+        once, with an empty chain.
+        """
+        functions = self.graph.functions
+        for function_id in sorted(functions):
+            info = functions[function_id]
+            if not in_scope(info):
+                continue
+            for origin in self.origins_of(function_id, effect):
+                chain = self.chain(function_id, origin)
+                if not any(in_scope(functions[callee])
+                           for callee, _line in chain):
+                    yield info, origin, chain
+
+    def route(self, info: FunctionInfo, origin: EffectOrigin,
+              chain: list[Step]) -> str:
+        """``caller -> helper -> source (direct site path:line)``, the
+        chain as a finding message spells it."""
+        functions = self.graph.functions
+        hops = [info.qualname,
+                *(functions[callee].qualname for callee, _line in chain),
+                origin.source]
+        holder = functions[origin.holder].module.display_path
+        return f"{' -> '.join(hops)} (direct site {holder}:{origin.line})"
+
     # -- direct seeding ------------------------------------------------
 
     def _seed_direct(self) -> None:
         for function_id, info in self.graph.functions.items():
             origins: dict[EffectOrigin, Step | None] = {}
-            for site in self.graph.calls.get(function_id, ()):
-                effect, source = _call_effect(site)
-                if effect is not None:
-                    origins[EffectOrigin(
-                        effect=effect, holder=function_id,
-                        source=source or "", line=site.line)] = None
-            for origin in _unordered_return_origins(function_id, info.node):
+            for node, effect, source in _direct_sites(
+                    info, self.graph.calls.get(function_id, ())):
+                origins[EffectOrigin(
+                    effect=effect, holder=function_id, source=source,
+                    line=node.lineno, col=node.col_offset)] = None
+            for origin in _unordered_return_origins(function_id, info):
                 origins[origin] = None
             self._origins[function_id] = origins
-            self._return_sites[function_id] = _return_call_ids(info.node)
-            self._mutated[function_id] = _direct_mutations(info.node)
+            self._return_sites[function_id] = _return_call_ids(info)
+            self._mutated[function_id] = _direct_mutations(info)
 
     # -- fixpoint ------------------------------------------------------
 
@@ -328,28 +372,43 @@ def param_name_for_arg(callee: FunctionInfo, position: int,
 # -- direct-effect extraction ------------------------------------------------
 
 
-def _call_effect(site: CallSite) -> tuple[str | None, str | None]:
-    """The direct effect (if any) of one call site."""
-    node = site.node
-    external = site.external
-    func = node.func
-    if external is None:
-        if isinstance(func, ast.Name) and func.id == "open" \
-                and not site.callees:
-            return BLOCKING_IO, "open"
-        return None, None
-    if external in WALL_CLOCK_READS:
-        return WALL_CLOCK, external
-    if external in CPU_TIME_READS:
-        return CPU_TIME, external
-    if external in GLOBAL_RANDOM_CALLS or external in OS_ENTROPY_CALLS \
-            or external.startswith(_SECRETS_PREFIX):
-        return AMBIENT_RANDOM, external
-    if external == "random.Random" and not node.args and not node.keywords:
-        return AMBIENT_RANDOM, "random.Random()"
-    if external in BLOCKING_CALLS or external.startswith(BLOCKING_PREFIXES):
-        return BLOCKING_IO, external
-    return None, None
+def _direct_sites(info: FunctionInfo, sites: Iterable[CallSite]
+                  ) -> Iterator[tuple[ast.expr, str, str]]:
+    """``(node, effect, source)`` for every direct site in the body."""
+    aliases = info.module.aliases
+    for node in info.own_nodes:
+        if isinstance(node, (ast.Name, ast.Attribute)) and \
+                isinstance(node.ctx, ast.Load):
+            qualified = qualified_name(node, aliases)
+            if qualified is not None:
+                effect = _read_effect(qualified)
+                if effect is not None:
+                    yield node, effect, qualified
+    for site in sites:
+        external = site.external
+        call = site.node
+        if external is None:
+            if isinstance(call.func, ast.Name) and call.func.id == "open" \
+                    and not site.callees:
+                yield call, BLOCKING_IO, "open"
+        elif external == "random.Random":
+            if not call.args and not call.keywords:
+                yield call, AMBIENT_RANDOM, "random.Random()"
+        elif external in BLOCKING_CALLS or \
+                external.startswith(BLOCKING_PREFIXES):
+            yield call, BLOCKING_IO, external
+
+
+def _read_effect(qualified: str) -> str | None:
+    """The effect of reading a qualified name, called or not."""
+    if qualified in WALL_CLOCK_READS:
+        return WALL_CLOCK
+    if qualified in CPU_TIME_READS:
+        return CPU_TIME
+    if qualified in GLOBAL_RANDOM_CALLS or qualified in OS_ENTROPY_CALLS \
+            or qualified.startswith(_SECRETS_PREFIX):
+        return AMBIENT_RANDOM
+    return None
 
 
 def _param_names(info: FunctionInfo) -> set[str]:
@@ -357,27 +416,15 @@ def _param_names(info: FunctionInfo) -> set[str]:
 
 
 def _param_names_ordered(info: FunctionInfo) -> list[str]:
-    args = info.node.args
+    args = getattr(info.node, "args", None)  # None for ``<module>``
+    if args is None:
+        return []
     return [arg.arg for arg in [*args.posonlyargs, *args.args]]
 
 
-def _own_body_nodes(function: ast.AST) -> list[ast.AST]:
-    """Nodes of the function's own body, nested defs pruned."""
-    nodes: list[ast.AST] = []
-    stack = list(ast.iter_child_nodes(function))
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.Lambda)):
-            continue
-        nodes.append(node)
-        stack.extend(ast.iter_child_nodes(node))
-    return nodes
-
-
-def _direct_mutations(function: ast.AST) -> dict[str, int]:
+def _direct_mutations(info: FunctionInfo) -> dict[str, int]:
     """Parameters the function body assigns attributes/items on."""
-    args = getattr(function, "args", None)
+    args = getattr(info.node, "args", None)
     if args is None:
         return {}
     params = {arg.arg for arg in [*args.posonlyargs, *args.args,
@@ -390,7 +437,7 @@ def _direct_mutations(function: ast.AST) -> dict[str, int]:
         if name in params and name not in mutated:
             mutated[name] = line
 
-    for node in _own_body_nodes(function):
+    for node in info.own_nodes:
         targets: list[ast.expr] = []
         if isinstance(node, ast.Assign):
             targets = node.targets
@@ -420,23 +467,24 @@ def _attribute_or_item_base(target: ast.expr) -> str | None:
 
 
 def _unordered_return_origins(function_id: FunctionId,
-                              function: ast.AST) -> list[EffectOrigin]:
-    tainted = _set_tainted_names(function)
+                              info: FunctionInfo) -> list[EffectOrigin]:
+    tainted = _set_tainted_names(info)
     origins: list[EffectOrigin] = []
-    for node in _own_body_nodes(function):
+    for node in info.own_nodes:
         if isinstance(node, ast.Return) and node.value is not None and \
                 expression_is_set_ordered(node.value, tainted):
             origins.append(EffectOrigin(
                 effect=UNORDERED_RETURN, holder=function_id,
-                source="set-ordered return value", line=node.lineno))
+                source="set-ordered return value", line=node.lineno,
+                col=node.col_offset))
     return origins
 
 
-def _set_tainted_names(function: ast.AST) -> set[str]:
+def _set_tainted_names(info: FunctionInfo) -> set[str]:
     """Local names whose value order derives from set iteration."""
     tainted: set[str] = set()
     for _ in range(2):  # one re-pass resolves name-to-name chains
-        for node in _own_body_nodes(function):
+        for node in info.own_nodes:
             if isinstance(node, ast.Assign) and \
                     expression_is_set_ordered(node.value, tainted):
                 for target in node.targets:
@@ -483,7 +531,7 @@ def expression_is_set_ordered(node: ast.AST, tainted: set[str]) -> bool:
     return False
 
 
-def _return_call_ids(function: ast.AST) -> set[int]:
+def _return_call_ids(info: FunctionInfo) -> set[int]:
     """``id()`` of call nodes whose result escapes through ``return``.
 
     Covers ``return g(...)`` (unless wrapped in ``sorted(...)``) and
@@ -491,7 +539,7 @@ def _return_call_ids(function: ast.AST) -> set[int]:
     """
     returned_names: set[str] = set()
     return_exprs: list[ast.expr] = []
-    for node in _own_body_nodes(function):
+    for node in info.own_nodes:
         if isinstance(node, ast.Return) and node.value is not None:
             return_exprs.append(node.value)
             if isinstance(node.value, ast.Name):
@@ -511,7 +559,7 @@ def _return_call_ids(function: ast.AST) -> set[int]:
 
     for expr in return_exprs:
         collect(expr)
-    for node in _own_body_nodes(function):
+    for node in info.own_nodes:
         if isinstance(node, ast.Assign) and \
                 isinstance(node.value, ast.Call) and \
                 any(isinstance(t, ast.Name) and t.id in returned_names

@@ -1,15 +1,24 @@
 """Interprocedural determinism rules (DET001, DET002).
 
-The file-local SIM rules police *direct* reads: ``time.time()`` spelled
-inside a sim-path module, a global ``random.random()`` anywhere.  A
-one-line helper defeats them — move the read into ``eval/util.py`` and
-call it from ``simenv``.  DET001 closes that hole with the effect
-fixpoint (:mod:`repro.analysis.effects`): a function in the determinism
-scope (``simenv``, ``shard``, ``radio``) that *transitively* reaches a
-wall-clock read or an ambient entropy draw is a finding, with the call
-chain spelled out.  Direct sites that a file-local rule already flags
-(SIM001/SIM002/SHARD002) are not re-reported — DET001 fires exactly
-where they are blind.
+DET001 is the analyzer's one clock and entropy rule.  It reads the
+effect fixpoint (:mod:`repro.analysis.effects`): a function whose
+effect set holds a host-clock read or an ambient entropy draw — in its
+own body (a chain of length zero) or through any chain of helpers — is
+a finding when it sits in that effect's scope:
+
+* ``wall-clock``: the sim-path packages and ``shard``;
+* ``cpu-time``: the same, except the shard coordinator's busy
+  accounting in ``shard/runner.py``, the one sanctioned reader;
+* ``ambient-randomness``: every module — every draw goes through a
+  named stream so traces replay and parallel sweeps stay
+  byte-identical.
+
+Each origin is reported once, at the innermost in-scope function of
+its chain: a direct read at its own line and column, a chain that
+enters the scope at the call that carries it in, with the route
+spelled out.  A helper outside the scope therefore cannot launder a
+read — move ``time.time()`` into ``eval/util.py``, call it from
+``simenv``, and the ``simenv`` caller is the finding.
 
 DET002 guards the ordering stability of what crosses shard and wire
 boundaries: an expression whose order derives from an unordered set —
@@ -40,94 +49,85 @@ from repro.analysis.effects import (
     EffectOrigin,
     expression_is_set_ordered,
 )
-from repro.analysis.callgraph import CallGraph, CallSite, FunctionInfo
+from repro.analysis.callgraph import CallSite, FunctionInfo
 from repro.analysis.rules.sim import SIM_PATH_PACKAGES
 
-#: Packages whose functions must stay transitively deterministic: the
-#: event engine, the sharded world, and the radio medium are exactly
-#: the code the bit-exactness gates referee.
-DET_SCOPE_PACKAGES = frozenset({"simenv", "shard", "radio"})
+#: Packages where a host-clock read is a finding: the simulated path
+#: and the sharded world, the code the bit-exactness gates referee.
+CLOCK_SCOPE_PACKAGES = SIM_PATH_PACKAGES | {"shard"}
 
-#: Where direct wall-clock reads are already a file-local finding
-#: (SIM001 on the sim path, SHARD002 in the shard package).
-_CLOCK_POLICED = SIM_PATH_PACKAGES | {"shard"}
+#: The one file that may read CPU time: the shard coordinator measures
+#: per-shard busy time with ``time.process_time`` because N workers
+#: timesharing one host must not book each other's wall time
+#: (DESIGN.md §11).
+CPU_TIME_COORDINATOR = ("shard", "runner.py")
 
-#: Entropy sources SIM002's name tables flag directly, everywhere.
-_SIM002_COVERED = GLOBAL_RANDOM_CALLS | {"random.Random()",
-                                         "random.SystemRandom"}
+
+def _clock_scope(info: FunctionInfo) -> bool:
+    return any(part in CLOCK_SCOPE_PACKAGES for part in info.package_parts)
+
+
+def _cpu_time_scope(info: FunctionInfo) -> bool:
+    return _clock_scope(info) and tuple(
+        info.module.display_path.split("/")[-2:]) != CPU_TIME_COORDINATOR
+
+
+#: Effect -> whether a function sits in that effect's scope.
+_SCOPES = {
+    WALL_CLOCK: _clock_scope,
+    CPU_TIME: _cpu_time_scope,
+    AMBIENT_RANDOM: lambda info: True,
+}
+
+#: What a chain carries.  Only clocks arrive through chains: entropy is
+#: in scope everywhere, so every draw is reported where it happens.
+_KIND = {WALL_CLOCK: "wall-clock read", CPU_TIME: "CPU-time read"}
 
 
 @register
 class TransitiveNondeterminismRule(ContextRule):
     code = "DET001"
-    summary = ("no wall-clock or ambient-randomness reach into "
-               "simenv/shard/radio code, even through helpers in other "
-               "modules (interprocedural SIM001/SIM002)")
+    summary = ("no wall-clock or CPU-time read on the simulated path or "
+               "in shard code (CPU time only in shard/runner.py) and no "
+               "ambient randomness anywhere, directly or through helpers")
 
     def check_context(self, context: ProjectContext) -> Iterator[Finding]:
-        graph = context.graph
         effects = context.effects
-        for function_id in sorted(graph.functions):
-            info = graph.functions[function_id]
-            parts = info.package_parts
-            if not any(part in DET_SCOPE_PACKAGES for part in parts):
-                continue
-            for effect in (WALL_CLOCK, CPU_TIME, AMBIENT_RANDOM):
-                if effect == CPU_TIME and "shard" in parts:
-                    # The shard coordinator's busy accounting is the
-                    # sanctioned process_time user; SHARD002 governs it.
-                    continue
-                for origin in effects.origins_of(function_id, effect):
-                    finding = self._judge(graph, effects, info, origin)
-                    if finding is not None:
-                        yield finding
+        for effect, in_scope in _SCOPES.items():
+            for info, origin, chain in effects.innermost(effect, in_scope):
+                if chain:
+                    line, col = chain[0][1], info.col
+                    message = (
+                        f"{_KIND[effect]} reaches {info.qualname} via "
+                        f"{effects.route(info, origin, chain)}; derive "
+                        f"time from env.now, or hoist the read off the "
+                        f"simulated path")
+                else:
+                    line, col = origin.line, origin.col
+                    message = _direct_message(origin)
+                yield Finding(path=info.module.display_path, line=line,
+                              col=col, rule=self.code, message=message)
 
-    def _judge(self, graph: CallGraph, effects: EffectAnalysis,
-               info: FunctionInfo,
-               origin: EffectOrigin) -> Finding | None:
-        holder = graph.functions.get(origin.holder)
-        if holder is None:
-            return None
-        direct = origin.holder == info.function_id
-        if origin.effect in (WALL_CLOCK, CPU_TIME):
-            if any(part in _CLOCK_POLICED for part in holder.package_parts):
-                # The direct read sits where SIM001/SHARD002 already
-                # flag it; one finding at the root is enough.
-                return None
-        else:  # ambient randomness
-            if origin.source in _SIM002_COVERED:
-                # SIM002 applies to the whole tree: the direct draw is
-                # flagged wherever it lives.
-                return None
-        chain = effects.chain(info.function_id, origin)
-        if not direct:
-            # Report only on the innermost in-scope function of the
-            # chain: callers further out inherit the same origin and
-            # would repeat the finding verbatim.
-            for callee_id, _line in chain:
-                callee = graph.functions.get(callee_id)
-                if callee is not None and any(
-                        part in DET_SCOPE_PACKAGES
-                        for part in callee.package_parts):
-                    return None
-        line = origin.line if direct else chain[0][1]
-        hops = [info.qualname]
-        for callee_id, _line in chain:
-            callee = graph.functions.get(callee_id)
-            hops.append(callee.qualname if callee is not None else callee_id)
-        route = " -> ".join([*hops, origin.source])
-        kind = {WALL_CLOCK: "wall-clock read",
-                CPU_TIME: "CPU-time read",
-                AMBIENT_RANDOM: "ambient randomness"}[origin.effect]
-        where = (f"{holder.module.display_path}:{origin.line}"
-                 if not direct else f"line {origin.line}")
-        return Finding(
-            path=info.module.display_path, line=line,
-            col=info.node.col_offset, rule=self.code,
-            message=(f"{kind} reaches {info.qualname} via {route} "
-                     f"(direct site {where}); derive time from env.now "
-                     f"and entropy from a named env.random.stream(...), "
-                     f"or hoist the read off the simulated path"))
+
+def _direct_message(origin: EffectOrigin) -> str:
+    """What a direct read is and how to fix it."""
+    source = origin.source
+    if origin.effect == WALL_CLOCK:
+        return (f"wall-clock read {source} on the simulated path; use "
+                f"env.now (simulated seconds), or time.process_time for "
+                f"the shard coordinator's busy accounting")
+    if origin.effect == CPU_TIME:
+        return (f"CPU-time read {source} outside the coordinator's busy "
+                f"accounting (shard/runner.py); simulated state must "
+                f"derive from env.now, not host CPU time")
+    if source == "random.Random()":
+        return ("unseeded random.Random() is seeded from the OS; derive "
+                "one via env.random.stream(name) or pass an explicit seed")
+    if source in GLOBAL_RANDOM_CALLS:
+        return (f"{source} uses the process-global generator; draw from "
+                f"a named env.random.stream(...) instead")
+    return (f"{source} draws from the OS entropy pool and can never be "
+            f"replayed; draw from a named env.random.stream(...) instead")
 
 
 #: Call targets whose arguments become exchange payloads or wire bytes.
@@ -154,8 +154,8 @@ class UnorderedPayloadRule(ContextRule):
     def _check_function(self, info: FunctionInfo,
                         sites: dict[int, CallSite], tainted: set[str],
                         effects: EffectAnalysis) -> Iterator[Finding]:
-        exchange_names = _exchange_locals(info.node)
-        for node in ast.walk(info.node):
+        exchange_names = _exchange_locals(info)
+        for node in info.own_nodes:
             payloads: list[tuple[ast.expr, str]] = []
             if isinstance(node, ast.Call):
                 sink = _sink_name(node)
@@ -199,10 +199,10 @@ def _payload_args(call: ast.Call) -> list[ast.expr]:
     return [*call.args, *[kw.value for kw in call.keywords]]
 
 
-def _exchange_locals(function: ast.AST) -> set[str]:
+def _exchange_locals(info: FunctionInfo) -> set[str]:
     """Names bound to a freshly constructed exchange in this body."""
     names: set[str] = set()
-    for node in ast.walk(function):
+    for node in info.own_nodes:
         if isinstance(node, ast.Assign) and \
                 isinstance(node.value, ast.Call) and \
                 _sink_name(node.value) in _EXCHANGE_TYPES:
@@ -216,7 +216,7 @@ def _call_tainted_names(info: FunctionInfo, sites: dict[int, CallSite],
                         effects: EffectAnalysis) -> set[str]:
     """Locals assigned from calls to unordered-return functions."""
     tainted: set[str] = set()
-    for node in ast.walk(info.node):
+    for node in info.own_nodes:
         if isinstance(node, ast.Assign) and \
                 isinstance(node.value, ast.Call) and \
                 _call_is_unordered(node.value, sites, effects):

@@ -21,7 +21,7 @@ import ast
 from collections.abc import Iterable, Iterator
 
 from repro.analysis.core import Finding, Module, ProjectRule, register
-from repro.analysis.rules.helpers import string_value
+from repro.analysis.astutil import string_value
 
 
 @register

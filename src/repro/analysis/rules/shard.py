@@ -1,25 +1,18 @@
-"""Sharded-engine safety rules (SHARD001, SHARD002).
+"""Sharded-engine safety rule (SHARD001).
 
 The bit-exactness of the sharded engine (DESIGN.md §9/§11) rests on
-two invariants the runtime gates can only sample:
+ghosts being read-only, which the runtime gates can only sample.  A
+ghost replica's state is owned by another shard; every mutation must
+route through the exchange — ``apply_exchange`` and its
+install/uninstall helpers.  A write anywhere else silently forks the
+replica from its owner, and the divergence only surfaces if
+``verify_ghosts`` happens to run.  SHARD001 flags attribute/item
+writes on values drawn from a ``ghosts`` mapping, and — via the
+parameter-mutation fixpoint — ghost state handed to a helper that
+writes to its parameter.
 
-* **Ghosts are read-only.**  A ghost replica's state is owned by
-  another shard; every mutation must route through the exchange —
-  ``apply_exchange`` and its install/uninstall helpers.  A write
-  anywhere else silently forks the replica from its owner, and the
-  divergence only surfaces if ``verify_ghosts`` happens to run.
-  SHARD001 flags attribute/item writes on values drawn from a
-  ``ghosts`` mapping, and — via the parameter-mutation fixpoint —
-  ghost state handed to a helper that writes to its parameter.
-
-* **Critical-path accounting is CPU time.**  The coordinator measures
-  per-shard busy time with ``time.process_time`` precisely because
-  N workers timesharing one host must not book each other's wall
-  time (DESIGN.md §11).  SHARD002 flags wall-clock reads anywhere in
-  the shard package (use ``process_time`` for accounting, ``env.now``
-  for simulated time) and ``process_time`` reads *outside* the
-  coordinator (``shard/runner.py``) — in engine/device code even CPU
-  time is a nondeterministic input.
+(The shard package's clock discipline — CPU time for the coordinator's
+busy accounting only — is one of DET001's scopes.)
 """
 
 from __future__ import annotations
@@ -27,36 +20,16 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.analysis.core import (
-    ContextRule,
-    FileRule,
-    Finding,
-    Module,
-    ProjectContext,
-    register,
-)
-from repro.analysis.effects import (
-    CPU_TIME_READS,
-    MUTATOR_METHODS,
-    WALL_CLOCK_READS,
-    call_mutates_argument,
-)
+from repro.analysis.astutil import in_packages
+from repro.analysis.core import ContextRule, Finding, ProjectContext, register
+from repro.analysis.effects import MUTATOR_METHODS, call_mutates_argument
 from repro.analysis.callgraph import FunctionInfo
-from repro.analysis.rules.helpers import (
-    import_aliases,
-    in_packages,
-    qualified_name,
-)
 
 _SHARD_PACKAGE = frozenset({"shard"})
 
 #: Functions allowed to write ghost state: the exchange apply path and
 #: its population helpers (the migration path runs through them too).
 GHOST_WRITE_ALLOWED = frozenset({"apply_exchange", "_install", "_uninstall"})
-
-#: Files allowed to read ``time.process_time``: the coordinator's
-#: busy accounting lives in the runner, nowhere else.
-CPU_TIME_ALLOWED_FILES = frozenset({"runner.py"})
 
 
 @register
@@ -75,10 +48,10 @@ class GhostMutationRule(ContextRule):
                 continue
             if info.name in GHOST_WRITE_ALLOWED:
                 continue
-            ghost_names = _ghost_bound_names(info.node)
+            ghost_names = _ghost_bound_names(info)
             sites = {id(site.node): site
                      for site in graph.calls.get(function_id, ())}
-            for node in ast.walk(info.node):
+            for node in info.own_nodes:
                 yield from self._check_node(info, node, ghost_names,
                                             sites, effects, graph)
 
@@ -161,11 +134,11 @@ def _is_ghost_write_target(target: ast.AST, ghost_names: set[str]) -> bool:
     return False
 
 
-def _ghost_bound_names(function: ast.AST) -> set[str]:
+def _ghost_bound_names(info: FunctionInfo) -> set[str]:
     """Locals bound to ghost values: subscripts, ``.get``, loop targets
     over ``.values()``/``.items()`` of a ghosts mapping."""
     names: set[str] = set()
-    for node in ast.walk(function):
+    for node in info.own_nodes:
         if isinstance(node, ast.Assign) and \
                 _ghost_value_expr(node.value):
             for target in node.targets:
@@ -186,37 +159,3 @@ def _ghost_bound_names(function: ast.AST) -> set[str]:
                         isinstance(target.elts[1], ast.Name):
                     names.add(target.elts[1].id)
     return names
-
-
-@register
-class CriticalPathClockRule(FileRule):
-    code = "SHARD002"
-    summary = ("shard code reads no wall clocks (accounting uses "
-               "time.process_time, simulated logic uses env.now); "
-               "process_time itself only in shard/runner.py")
-
-    def applies_to(self, module: Module) -> bool:
-        return in_packages(module.display_path, _SHARD_PACKAGE)
-
-    def check(self, module: Module) -> Iterator[Finding]:
-        aliases = import_aliases(module.tree)
-        filename = module.display_path.rsplit("/", 1)[-1]
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.Attribute, ast.Name)):
-                continue
-            qualified = qualified_name(node, aliases)
-            if qualified in WALL_CLOCK_READS:
-                yield self.finding(
-                    module, node,
-                    f"wall-clock read {qualified} in shard code: "
-                    f"critical-path accounting must use "
-                    f"time.process_time (wall time books co-scheduled "
-                    f"workers' work on a shared host) and simulated "
-                    f"logic must use env.now")
-            elif qualified in CPU_TIME_READS and \
-                    filename not in CPU_TIME_ALLOWED_FILES:
-                yield self.finding(
-                    module, node,
-                    f"{qualified} outside the coordinator's busy "
-                    f"accounting (shard/runner.py); shard state must "
-                    f"derive from env.now, not host CPU time")

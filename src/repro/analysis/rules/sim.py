@@ -1,11 +1,11 @@
-"""Simulation-determinism rules (SIM001-SIM006).
+"""Simulation-determinism rules (SIM003-SIM006).
 
-SIM001-SIM004 and SIM006 encode the contract that makes Table 8
+SIM003, SIM004 and SIM006 encode the contract that makes Table 8
 timings and parallel sweeps byte-identical: simulated code computes
-*only* from the simulation state — the event clock, the named random
-streams, and the deterministic data structures feeding them.  SIM005
-guards the allocation discipline of the per-event hot loop (DESIGN.md
-§10).
+*only* from the simulation state — the event clock and the
+deterministic data structures feeding it.  (Clock and entropy reads
+are DET001's, in :mod:`repro.analysis.rules.det`.)  SIM005 guards the
+allocation discipline of the per-event hot loop (DESIGN.md §10).
 """
 
 from __future__ import annotations
@@ -13,20 +13,18 @@ from __future__ import annotations
 import ast
 from collections.abc import Iterator
 
-from repro.analysis.core import FileRule, Finding, Module, ScopeTracker, register
-from repro.analysis.effects import (
-    BLOCKING_CALLS,
-    BLOCKING_PREFIXES,
-    CPU_TIME_READS,
-    GLOBAL_RANDOM_CALLS,
-    WALL_CLOCK_READS,
+from repro.analysis.astutil import in_packages, qualified_name, statically_a_set
+from repro.analysis.callgraph import FunctionInfo
+from repro.analysis.core import (
+    ContextRule,
+    FileRule,
+    Finding,
+    Module,
+    ProjectContext,
+    ScopeTracker,
+    register,
 )
-from repro.analysis.rules.helpers import (
-    import_aliases,
-    in_packages,
-    qualified_name,
-    statically_a_set,
-)
+from repro.analysis.effects import BLOCKING_IO
 
 #: Packages whose code runs on the simulated path.  ``eval`` and
 #: ``msc`` are deliberately absent: the harness measures wall clocks
@@ -34,24 +32,6 @@ from repro.analysis.rules.helpers import (
 SIM_PATH_PACKAGES = frozenset(
     {"simenv", "net", "radio", "peerhood", "community", "mobility"}
 )
-
-#: Wall-clock reads.  Any of these on the simulated path couples event
-#: outcomes to host speed.  The call tables live in
-#: :mod:`repro.analysis.effects` — the effect engine and the file-local
-#: rules must never disagree about what counts as a clock.  SIM001
-#: also bans CPU-time reads here: on the simulated path even
-#: ``process_time`` is a host-dependent input (the shard coordinator's
-#: accounting is governed separately by SHARD002).
-_WALL_CLOCK = WALL_CLOCK_READS | CPU_TIME_READS
-
-#: Module-level functions of :mod:`random` — the shared, process-global
-#: generator no named stream controls.
-_GLOBAL_RANDOM = GLOBAL_RANDOM_CALLS
-
-#: Blocking or I/O-bound calls that must never run inside a simenv
-#: process coroutine — they stall every simulated device at once.
-_BLOCKING_PREFIXES = BLOCKING_PREFIXES
-_BLOCKING_CALLS = BLOCKING_CALLS
 
 
 class _SimPathRule(FileRule):
@@ -61,100 +41,49 @@ class _SimPathRule(FileRule):
         return in_packages(module.display_path, SIM_PATH_PACKAGES)
 
 
-@register
-class WallClockRule(_SimPathRule):
-    code = "SIM001"
-    summary = ("no wall-clock reads (time.time/perf_counter/datetime.now) "
-               "in sim-path modules")
-
-    def check(self, module: Module) -> Iterator[Finding]:
-        aliases = import_aliases(module.tree)
-        for node in ast.walk(module.tree):
-            if not isinstance(node, (ast.Attribute, ast.Name)):
-                continue
-            qualified = qualified_name(node, aliases)
-            if qualified in _WALL_CLOCK:
-                yield self.finding(
-                    module, node,
-                    f"wall-clock read {qualified} on the simulated path; "
-                    f"use env.now (simulated seconds) instead")
+def _process_coroutine(info: FunctionInfo) -> bool:
+    """A generator on the simulated path: a simenv process body."""
+    return any(part in SIM_PATH_PACKAGES for part in info.package_parts) \
+        and info.is_generator
 
 
 @register
-class GlobalRandomRule(FileRule):
-    """SIM002 applies to the whole tree: *every* draw goes through a
-    named stream so traces replay and parallel sweeps stay
-    byte-identical."""
+class BlockingCallRule(ContextRule):
+    """A process coroutine whose effects hold ``blocking-io``, directly
+    or through the helpers it calls."""
 
-    code = "SIM002"
-    summary = ("no global random module / unseeded random.Random(); draw "
-               "from env.random.stream(name)")
-
-    def check(self, module: Module) -> Iterator[Finding]:
-        aliases = import_aliases(module.tree)
-        for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call):
-                qualified = qualified_name(node.func, aliases)
-                if qualified == "random.Random" and not node.args \
-                        and not node.keywords:
-                    yield self.finding(
-                        module, node,
-                        "unseeded random.Random() is seeded from the OS; "
-                        "derive one via env.random.stream(name) or pass an "
-                        "explicit seed")
-                elif qualified == "random.SystemRandom":
-                    yield self.finding(
-                        module, node,
-                        "random.SystemRandom draws from the OS entropy pool "
-                        "and can never be replayed")
-            elif isinstance(node, (ast.Attribute, ast.Name)):
-                qualified = qualified_name(node, aliases)
-                if qualified in _GLOBAL_RANDOM:
-                    yield self.finding(
-                        module, node,
-                        f"{qualified} uses the process-global generator; "
-                        f"draw from a named env.random.stream(...) instead")
-
-
-@register
-class BlockingCallRule(_SimPathRule):
     code = "SIM003"
     summary = ("no blocking calls (time.sleep/socket/file I/O) inside "
-               "simenv process coroutines")
+               "simenv process coroutines, even through helpers")
 
-    def check(self, module: Module) -> Iterator[Finding]:
-        rule = self
-        aliases = import_aliases(module.tree)
-        findings: list[Finding] = []
+    def check_context(self, context: ProjectContext) -> Iterator[Finding]:
+        effects = context.effects
+        for info, origin, chain in effects.innermost(BLOCKING_IO,
+                                                     _process_coroutine):
+            if chain:
+                line, col = chain[0][1], info.col
+                message = (f"blocking call reaches process coroutine "
+                           f"{info.qualname} via "
+                           f"{effects.route(info, origin, chain)}; it "
+                           f"stalls every simulated device, so yield a "
+                           f"simenv timer or move the work off the "
+                           f"simulated path")
+            else:
+                line, col = origin.line, origin.col
+                message = _blocking_message(origin.source)
+            yield Finding(path=info.module.display_path, line=line,
+                          col=col, rule=self.code, message=message)
 
-        class Visitor(ScopeTracker):
-            def visit_Call(self, node: ast.Call) -> None:
-                if self.in_generator():
-                    message = _blocking_call_message(node, aliases)
-                    if message is not None:
-                        findings.append(rule.finding(module, node, message))
-                self.generic_visit(node)
 
-        Visitor().visit(module.tree)
-        yield from findings
-
-
-def _blocking_call_message(node: ast.Call, aliases: dict[str, str]) -> str | None:
-    func = node.func
-    if isinstance(func, ast.Name) and func.id == "open" \
-            and "open" not in aliases:
+def _blocking_message(source: str) -> str:
+    """What a direct blocking call is and how to fix it."""
+    if source == "open":
         return ("builtin open() inside a process coroutine blocks the "
                 "event loop; do file I/O outside the simulation or via a "
                 "simulated store")
-    qualified = qualified_name(func, aliases)
-    if qualified is None:
-        return None
-    if qualified in _BLOCKING_CALLS or \
-            qualified.startswith(_BLOCKING_PREFIXES):
-        return (f"blocking call {qualified} inside a process coroutine "
-                f"stalls every simulated device; yield a simenv timer or "
-                f"move the work off the simulated path")
-    return None
+    return (f"blocking call {source} inside a process coroutine stalls "
+            f"every simulated device; yield a simenv timer or move the "
+            f"work off the simulated path")
 
 
 @register
@@ -187,7 +116,7 @@ class ObjectAddressRule(_SimPathRule):
                "simulation state")
 
     def check(self, module: Module) -> Iterator[Finding]:
-        aliases = import_aliases(module.tree)
+        aliases = module.aliases
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Name):
                 address = (node.id == "id" and "id" not in aliases
@@ -237,7 +166,7 @@ class HotLoopAllocationRule(_SimPathRule):
 
     def check(self, module: Module) -> Iterator[Finding]:
         rule = self
-        aliases = import_aliases(module.tree)
+        aliases = module.aliases
         findings: list[Finding] = []
 
         class Visitor(ScopeTracker):

@@ -20,7 +20,6 @@ authoritative full-tree verdict that :func:`analyze_tree` stamps
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
 from pathlib import Path
 from collections.abc import Sequence
@@ -220,15 +219,3 @@ def _matching_suppression(candidates: Sequence[Suppression],
                 (best.span[1] - best.span[0])):
             best = suppression
     return best
-
-
-def parse_tree_ok(root: Path) -> bool:
-    """Cheap syntax sanity check used by the self-tests."""
-    for path in root.rglob("*.py"):
-        if "__pycache__" in path.parts:
-            continue
-        try:
-            ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        except SyntaxError:
-            return False
-    return True

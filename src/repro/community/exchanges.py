@@ -266,11 +266,3 @@ CONFORMANCE_EXCHANGES: tuple[Exchange, ...] = (
     OFFLINE_QUEUE_DRAIN,
     MALFORMED_REQUESTS,
 )
-
-
-def exchange_named(name: str) -> Exchange:
-    """Look up one script by name (test parametrisation helper)."""
-    for exchange in CONFORMANCE_EXCHANGES:
-        if exchange.name == name:
-            return exchange
-    raise KeyError(f"no conformance exchange named {name!r}")

@@ -81,26 +81,13 @@ def register_operation(op: str, fields: tuple[str, ...]) -> None:
     _REQUIRED_SETS[op] = frozenset(fields)
 
 
-def _required_fields(op: str) -> frozenset[str] | None:
-    """Precompiled field set, compiling lazily for operations added by
-    mutating :data:`OPERATIONS` directly (pre-``register_operation``
-    extension style)."""
-    required = _REQUIRED_SETS.get(op)
-    if required is None:
-        fields = OPERATIONS.get(op)
-        if fields is None:
-            return None
-        required = _REQUIRED_SETS[op] = frozenset(fields)
-    return required
-
-
 class ProtocolError(ValueError):
     """Malformed request or response."""
 
 
 def make_request(op: str, **params: Any) -> dict:
     """Build a validated request dict for ``op``."""
-    required = _required_fields(op)
+    required = _REQUIRED_SETS.get(op)
     if required is None:
         raise ProtocolError(f"unknown operation {op!r}")
     if params.keys() != required:
@@ -119,7 +106,7 @@ def parse_request(payload: Any) -> tuple[str, dict]:
     op = payload["op"]
     if not isinstance(op, str):
         raise ProtocolError(f"operation must be a string, got {op!r}")
-    required = _required_fields(op)
+    required = _REQUIRED_SETS.get(op)
     if required is None:
         raise ProtocolError(f"unknown operation {op!r}")
     params = {key: value for key, value in payload.items() if key != "op"}

@@ -58,10 +58,3 @@ class NeighborDevice:
     last_seen: float = 0.0
     services: list[ServiceInfo] = field(default_factory=list)
     services_fresh: bool = False
-
-    def best_technology(self, preference: tuple[str, ...]) -> str | None:
-        """The most preferred technology this device is visible on."""
-        for name in preference:
-            if name in self.technologies:
-                return name
-        return None

@@ -15,17 +15,14 @@ from repro.peerhood.plugins.base import Plugin
 class WLANPlugin(Plugin):
     """PeerHood's WLAN plugin (802.11b ad-hoc by default).
 
+    A scan is one broadcast round: unlike Bluetooth inquiry, the
+    broadcast probe's cost is flat, since all peers answer within the
+    same reply window regardless of count, so the base class's
+    ``scan_duration`` applies.
+
     A different 802.11 variant from the Table 1 registry can be
     injected for the standards bench by assigning ``technology`` on the
     instance.
     """
 
     technology: Technology = WLAN
-
-    def scan_duration(self, responders: int) -> float:
-        """One broadcast round; replies arrive within the reply window.
-
-        Unlike Bluetooth inquiry, the broadcast probe's cost is flat:
-        all peers answer within the same window regardless of count.
-        """
-        return self.technology.discovery_time_s

@@ -329,14 +329,6 @@ class TilePartition:
 
     # -- introspection (rebalancer, tests, diagnostics) --------------------
 
-    def tiles_of_shard(self, shard_id: int) -> tuple[int, ...]:
-        """Tile indices currently assigned to one shard."""
-        if not 0 <= shard_id < self.shards:
-            raise ValueError(f"shard_id {shard_id} out of range "
-                             f"[0, {self.shards})")
-        return tuple(tile for tile, owner in enumerate(self.tile_map)
-                     if owner == shard_id)
-
     def tile_neighbors(self, tile: int) -> tuple[int, ...]:
         """The up-to-eight grid neighbours of a tile, corners included."""
         self._check_tile(tile)
@@ -350,16 +342,6 @@ class TilePartition:
                 if 0 <= nr < self.tiles_y and 0 <= nc < self.tiles_x:
                     neighbors.append(nr * self.tiles_x + nc)
         return tuple(neighbors)
-
-    def neighbor_shards(self, shard_id: int) -> tuple[int, ...]:
-        """Shards owning any tile adjacent (incl. corners) to this
-        shard's tiles — the set a static exchange topology would use."""
-        mine = set(self.tiles_of_shard(shard_id))
-        others = {self.tile_map[neighbor]
-                  for tile in mine
-                  for neighbor in self.tile_neighbors(tile)
-                  if self.tile_map[neighbor] != shard_id}
-        return tuple(sorted(others))
 
     def with_map(self, tile_map: tuple[int, ...]) -> TilePartition:
         """A copy of this partition under a new tile→shard map."""

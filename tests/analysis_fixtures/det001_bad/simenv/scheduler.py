@@ -1,7 +1,7 @@
 """Sim-path code laundering nondeterminism through helpers.
 
-Neither read is spelled here, so the file-local SIM001/SIM002 stay
-quiet; only the interprocedural DET001 sees through the call chain.
+Neither read is spelled here: DET001 follows the call chain to the
+clock read in util/, and reports the uuid4 draw where it happens.
 """
 
 from util.clock import now_seconds

@@ -1,4 +1,4 @@
-"""Ambient entropy SIM002's name tables never covered (uuid4)."""
+"""Ambient entropy from the OS pool (uuid4), reported at the draw."""
 
 import uuid
 

@@ -1,5 +1,5 @@
-"""The harness may read wall clocks: SIM001 is scoped to sim-path
-packages and this file lives under eval/."""
+"""The harness may read wall clocks: DET001's clock scope is the
+sim-path packages and this file lives under eval/."""
 import time
 
 

@@ -1,4 +1,4 @@
-"""SIM001 must fire: wall-clock reads on the simulated path."""
+"""DET001 must fire: wall-clock reads on the simulated path."""
 import time
 from datetime import datetime
 

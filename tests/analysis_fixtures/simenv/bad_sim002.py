@@ -1,4 +1,4 @@
-"""SIM002 must fire: global random module and unseeded Random."""
+"""DET001 must fire: global random module and unseeded Random."""
 import random
 
 

@@ -7,7 +7,7 @@ import time
 
 
 def calibrate():
-    # repro: allow[SIM001] -- fixture: measures the host on purpose
+    # repro: allow[DET001] -- fixture: measures the host on purpose
     return time.perf_counter()
 
 

@@ -1,4 +1,4 @@
-"""SIM001 must stay quiet: simulated time comes from the environment."""
+"""DET001 must stay quiet: simulated time comes from the environment."""
 
 
 def stamp(env) -> float:

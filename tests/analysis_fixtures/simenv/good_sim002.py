@@ -1,4 +1,4 @@
-"""SIM002 must stay quiet: named streams and seeded Random."""
+"""DET001 must stay quiet: named streams and seeded Random."""
 import random
 
 

@@ -1,13 +1,13 @@
 """A function-scoped allowance with nothing inside its span to allow.
 
-The file has a real SIM001 finding *outside* the waived function, so
+The file has a real DET001 finding *outside* the waived function, so
 the waiver absorbs zero findings and must surface as SUP001.
 """
 import time
 
 
 def quiet(env):
-    # repro: allow[SIM001] -- fixture: stale, nothing blocks here
+    # repro: allow[DET001] -- fixture: stale, nothing blocks here
     return env.now
 
 

@@ -1,7 +1,7 @@
 """A documented allowance: the finding moves to the suppressed list."""
 import time
 
-# repro: allow[SIM001] -- fixture: documented false-positive example
+# repro: allow[DET001] -- fixture: documented false-positive example
 
 
 def stamp() -> float:

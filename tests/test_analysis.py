@@ -37,8 +37,8 @@ def fired_codes(report) -> set[str]:
 # -- one firing and one passing fixture per rule ----------------------------
 
 RULE_FIXTURES = [
-    ("SIM001", "simenv/bad_sim001.py", "simenv/good_sim001.py"),
-    ("SIM002", "simenv/bad_sim002.py", "simenv/good_sim002.py"),
+    ("DET001", "simenv/bad_sim001.py", "simenv/good_sim001.py"),
+    ("DET001", "simenv/bad_sim002.py", "simenv/good_sim002.py"),
     ("SIM003", "simenv/bad_sim003.py", "simenv/good_sim003.py"),
     ("SIM004", "simenv/bad_sim004.py", "simenv/good_sim004.py"),
     ("SIM005", "sim005_bad/simenv/events.py", "sim005_ok/simenv/events.py"),
@@ -62,23 +62,24 @@ def test_rule_passes_on_good_fixture(code: str, bad: str, good: str) -> None:
 
 def test_sim001_fires_once_per_wall_clock_read() -> None:
     report = analyze_fixture("simenv/bad_sim001.py")
-    sim001 = [f for f in report.findings if f.rule == "SIM001"]
-    assert len(sim001) == 2  # time.perf_counter and datetime.now
-    assert all(f.path == "simenv/bad_sim001.py" for f in sim001)
-    assert all(f.line > 0 for f in sim001)
+    det = [f for f in report.findings if f.rule == "DET001"]
+    assert len(det) == 2  # time.perf_counter and datetime.now
+    assert all(f.path == "simenv/bad_sim001.py" for f in det)
+    assert all(f.line > 0 for f in det)
 
 
 def test_sim001_scoped_to_sim_path_packages() -> None:
     report = analyze_fixture("eval/good_sim001_scope.py")
-    assert "SIM001" not in fired_codes(report)
+    assert "DET001" not in fired_codes(report)
 
 
 def test_sim002_applies_everywhere() -> None:
-    # Same source as bad_sim002 but under eval/: SIM002 still fires.
+    # A wall clock under eval/ is out of the clock scope and draws
+    # nothing; eval/'s draws are pinned in DET001_SITES below.
     report = analyze_fixture("eval/good_sim001_scope.py")
-    assert "SIM002" not in fired_codes(report)
+    assert "DET001" not in fired_codes(report)
     report = analyze_fixture("simenv/bad_sim002.py")
-    messages = [f.message for f in report.findings if f.rule == "SIM002"]
+    messages = [f.message for f in report.findings if f.rule == "DET001"]
     assert any("unseeded" in message for message in messages)
     assert any("process-global" in message for message in messages)
 
@@ -90,6 +91,27 @@ def test_sim003_only_flags_generator_bodies() -> None:
     sim003 = [f for f in report.findings if f.rule == "SIM003"]
     # time.sleep, socket.create_connection, open()
     assert len(sim003) == 3
+
+
+def test_sim003_follows_helpers_into_process_coroutines(
+        tmp_path: Path) -> None:
+    module = tmp_path / "simenv" / "proc.py"
+    module.parent.mkdir()
+    module.write_text("import time\n"
+                      "\n"
+                      "\n"
+                      "def settle():\n"
+                      "    time.sleep(0.1)\n"
+                      "\n"
+                      "\n"
+                      "def proc(env):\n"
+                      "    settle()\n"
+                      "    yield env.timeout(1)\n")
+    report = analyze_paths([module], root=tmp_path)
+    sim003 = [f for f in report.findings if f.rule == "SIM003"]
+    # settle() is no coroutine; the coroutine calling it is the finding.
+    assert [(f.line, f.col) for f in sim003] == [(9, 0)]
+    assert "proc -> settle -> time.sleep" in sim003[0].message
 
 
 def test_sim005_fires_once_per_hot_loop_allocation() -> None:
@@ -123,7 +145,7 @@ def test_sim006_is_scoped_to_the_sim_path(tmp_path: Path) -> None:
     assert "SIM006" not in fired_codes(report)
 
 
-# -- interprocedural rules (DET001/DET002/SHARD001/SHARD002) ----------------
+# -- interprocedural rules (DET001/DET002/SHARD001) -------------------------
 
 def project_fixture(name: str):
     """Analyze a whole fixture directory (the call-graph rules need
@@ -136,7 +158,7 @@ PROJECT_RULE_FIXTURES = [
     ("DET001", "det001_bad", "det001_ok"),
     ("DET002", "det002_bad", "det002_ok"),
     ("SHARD001", "shard001_bad", "shard001_ok"),
-    ("SHARD002", "shard002_bad", "shard002_ok"),
+    ("DET001", "shard002_bad", "shard002_ok"),
 ]
 
 
@@ -155,20 +177,52 @@ def test_project_rule_passes_on_good_fixture(code, bad, good) -> None:
 
 
 def test_det001_catches_what_file_local_rules_provably_miss() -> None:
-    # The tentpole acceptance case: the wall-clock read and the entropy
-    # draw both live in helpers outside the sim path, so SIM001/SIM002
-    # stay silent — only the interprocedural rule sees the chain.
+    # The wall-clock read lives in a helper outside the sim path, so
+    # only the call chain carries it into simenv: the finding is the
+    # sim-path caller.  An entropy draw is in scope everywhere, so the
+    # uuid4 draw reports at the draw itself.
     report = project_fixture("det001_bad")
-    assert "SIM001" not in fired_codes(report)
-    assert "SIM002" not in fired_codes(report)
     det = [f for f in report.findings if f.rule == "DET001"]
-    assert len(det) == 2  # one wall-clock chain, one uuid4 chain
-    assert all(f.path == "det001_bad/simenv/scheduler.py" for f in det)
-    messages = " ".join(f.message for f in det)
-    assert "now_seconds -> time.time" in messages
-    assert "fresh_token -> uuid.uuid4" in messages
+    assert [(f.path, f.line, f.col) for f in det] == [
+        ("det001_bad/simenv/scheduler.py", 12, 0),
+        ("det001_bad/util/ids.py", 7, 11),
+    ]
+    assert "now_seconds -> time.time" in det[0].message
     # The witness chain names the module holding the direct site.
-    assert "det001_bad/util/clock.py" in messages
+    assert "det001_bad/util/clock.py" in det[0].message
+    assert "uuid.uuid4" in det[1].message
+
+
+#: One site of every kind a whole-module scan sees and a call graph can
+#: miss — import-time code, class bodies, defaults, lambdas, bare
+#: references, aliases, two reads on one line, nested classes and
+#: closures — plus each effect's scope: CPU time in the shard engine
+#: but not in the coordinator, and under eval/ every draw but no clock.
+DET001_SITES = [
+    ("det001_sites/eval/harness.py", 8, 0),  # module-level random.shuffle
+    ("det001_sites/eval/harness.py", 12, 11),  # uuid.uuid4()
+    ("det001_sites/eval/harness.py", 16, 11),  # random.SystemRandom()
+    ("det001_sites/net/stamp.py", 7, 20),  # datetime.datetime.now()
+    ("det001_sites/shard/engine.py", 7, 11),  # process_time in the engine
+    ("det001_sites/shard/runner.py", 11, 11),  # the coordinator's time.time
+    ("det001_sites/simenv/bodies.py", 8, 25),  # inside a lambda
+    ("det001_sites/simenv/bodies.py", 9, 17),  # passed uncalled
+    ("det001_sites/simenv/bodies.py", 10, 11),  # pc() aliasing perf_counter
+    ("det001_sites/simenv/bodies.py", 14, 11),  # time.time() - ...
+    ("det001_sites/simenv/bodies.py", 14, 25),  # ... - time.time()
+    ("det001_sites/simenv/bodies.py", 20, 19),  # class nested in a function
+    ("det001_sites/simenv/bodies.py", 23, 15),  # closure
+    ("det001_sites/simenv/bodies.py", 31, 19),  # class nested in a class
+    ("det001_sites/simenv/import_time.py", 5, 5),  # T0 = time.time()
+    ("det001_sites/simenv/import_time.py", 9, 12),  # class-body reference
+    ("det001_sites/simenv/import_time.py", 11, 28),  # default argument
+]
+
+
+def test_det001_reports_every_direct_site_where_it_is() -> None:
+    report = project_fixture("det001_sites")
+    assert [(f.path, f.line, f.col, f.rule) for f in report.findings] == \
+        [(*site, "DET001") for site in DET001_SITES]
 
 
 def test_det002_taints_through_unordered_return_helpers() -> None:
@@ -190,7 +244,7 @@ def test_shard001_reports_direct_mutator_and_helper_writes() -> None:
 
 def test_shard002_allows_process_time_only_in_runner() -> None:
     report = project_fixture("shard002_bad")
-    messages = [f.message for f in report.findings if f.rule == "SHARD002"]
+    messages = [f.message for f in report.findings if f.rule == "DET001"]
     assert any("wall-clock read time.time" in m for m in messages)
     assert any("outside the coordinator" in m for m in messages)
     # The coordinator itself is the sanctioned process_time user.
@@ -202,10 +256,10 @@ def test_shard002_allows_process_time_only_in_runner() -> None:
 def test_file_scoped_suppression_moves_finding_aside() -> None:
     report = analyze_fixture("simenv/suppressed_sim001.py")
     assert report.ok
-    assert [f.rule for f in report.suppressed] == ["SIM001"]
+    assert [f.rule for f in report.suppressed] == ["DET001"]
     assert len(report.suppressions) == 1
     suppression = report.suppressions[0]
-    assert suppression.rule == "SIM001"
+    assert suppression.rule == "DET001"
     assert "false-positive" in suppression.reason
 
 
@@ -219,18 +273,18 @@ def test_stale_suppression_is_itself_a_finding() -> None:
 def test_function_scoped_suppression_covers_only_its_function() -> None:
     report = analyze_fixture("simenv/func_scoped_allow.py")
     # calibrate()'s read is waived; schedule()'s identical read is not.
-    assert [f.rule for f in report.findings] == ["SIM001"]
-    assert [f.rule for f in report.suppressed] == ["SIM001"]
+    assert [f.rule for f in report.findings] == ["DET001"]
+    assert [f.rule for f in report.suppressed] == ["DET001"]
     suppression = report.suppressions[0]
     assert suppression.scope == "calibrate"
     assert report.absorbed[suppression] == 1
 
 
 def test_stale_function_scoped_suppression_fires_sup001() -> None:
-    # The file has a real SIM001 finding, but outside the waived span:
+    # The file has a real DET001 finding, but outside the waived span:
     # the function-scoped allowance still absorbed nothing.
     report = analyze_fixture("simenv/stale_func_allow.py")
-    assert fired_codes(report) == {"SIM001", "SUP001"}
+    assert fired_codes(report) == {"DET001", "SUP001"}
     sup = [f for f in report.findings if f.rule == "SUP001"]
     assert "(scoped to quiet)" in sup[0].message
 
@@ -343,7 +397,7 @@ def test_json_report_shape() -> None:
     assert payload["schema"] == SCHEMA
     assert payload["files_scanned"] == 2
     assert payload["ok"] is False
-    assert payload["counts"]["SIM001"] == 2
+    assert payload["counts"]["DET001"] == 2
     assert len(payload["suppressed"]) == 1
     assert len(payload["suppressions"]) == 1
     round_trip = json.loads(json.dumps(payload))
@@ -359,10 +413,9 @@ def test_findings_are_sorted_and_deterministic() -> None:
 
 
 def test_rule_registry_is_complete() -> None:
-    assert set(rule_codes()) >= {"SIM001", "SIM002", "SIM003", "SIM004",
-                                 "SIM005", "SIM006", "PROTO001", "PROTO002", "SUP001",
-                                 "PARSE001", "DET001", "DET002",
-                                 "SHARD001", "SHARD002"}
+    assert set(rule_codes()) >= {"SIM003", "SIM004", "SIM005", "SIM006",
+                                 "PROTO001", "PROTO002", "SUP001",
+                                 "PARSE001", "DET001", "DET002", "SHARD001"}
 
 
 def test_partial_flag_distinguishes_file_lists_from_full_tree() -> None:
@@ -384,11 +437,11 @@ def test_sarif_rendering() -> None:
     run = sarif["runs"][0]
     assert run["tool"]["driver"]["name"] == "repro-analysis"
     rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-    assert {"SIM001", "DET001", "SHARD001"} <= rule_ids
+    assert {"SIM003", "DET001", "SHARD001"} <= rule_ids
     results = run["results"]
     assert len(results) == len(report.findings)
     first = results[0]
-    assert first["ruleId"] == "SIM001"
+    assert first["ruleId"] == "DET001"
     region = first["locations"][0]["physicalLocation"]["region"]
     assert region["startLine"] == report.findings[0].line
     assert region["startColumn"] == report.findings[0].col + 1
@@ -436,7 +489,7 @@ def test_cli_clean_tree_exits_zero(tmp_path: Path) -> None:
 def test_cli_bad_fixture_exits_nonzero() -> None:
     result = run_cli(str(FIXTURES / "simenv" / "bad_sim001.py"))
     assert result.returncode == 1
-    assert "SIM001" in result.stdout
+    assert "DET001" in result.stdout
 
 
 def test_cli_suppression_budget_gates(tmp_path: Path) -> None:
@@ -452,7 +505,7 @@ def test_cli_json_mode() -> None:
     result = run_cli(str(FIXTURES / "simenv" / "bad_sim002.py"), "--json")
     assert result.returncode == 1
     payload = json.loads(result.stdout)
-    assert payload["counts"]["SIM002"] >= 2
+    assert payload["counts"]["DET001"] >= 2
 
 
 def test_cli_sarif_artifact(tmp_path: Path) -> None:
@@ -462,7 +515,7 @@ def test_cli_sarif_artifact(tmp_path: Path) -> None:
     assert result.returncode == 1
     sarif = json.loads(artifact.read_text())
     assert sarif["version"] == "2.1.0"
-    assert {r["ruleId"] for r in sarif["runs"][0]["results"]} == {"SIM001"}
+    assert {r["ruleId"] for r in sarif["runs"][0]["results"]} == {"DET001"}
 
 
 def test_cli_partial_run_warns_on_stderr() -> None:
@@ -471,6 +524,17 @@ def test_cli_partial_run_warns_on_stderr() -> None:
     assert result.returncode == 0
     assert "partial run" in result.stderr
     assert "not authoritative" in result.stderr
+
+
+def test_cli_partial_run_still_catches_direct_reads() -> None:
+    # Pre-commit's changed-file run: the call graph sees only the
+    # changed file, but a direct read is a chain of length zero.
+    result = run_cli("--partial",
+                     str(FIXTURES / "simenv" / "bad_sim001.py"))
+    assert result.returncode == 1
+    path = "tests/analysis_fixtures/simenv/bad_sim001.py"
+    assert f"{path}:7:11: DET001 " in result.stdout
+    assert f"{path}:11:11: DET001 " in result.stdout
 
 
 def test_cli_partial_without_paths_is_a_usage_error() -> None:

@@ -193,3 +193,68 @@ def test_reverse_edges_mirror_forward_edges(tmp_path: Path) -> None:
     helper = fid(graph, "::helper")
     assert [site.caller for site in graph.callers[helper]] == \
         [fid(graph, "::top")]
+
+
+def test_every_def_and_each_module_body_is_an_entry(tmp_path: Path) -> None:
+    graph = build(tmp_path, {"mod.py": """
+        import time
+
+        T0 = time.time()
+
+
+        def outer():
+            class Local:
+                def method(self):
+                    pass
+
+            def closure():
+                pass
+
+
+        class Outer:
+            class Inner:
+                def method(self):
+                    pass
+
+            def method(self):
+                pass
+    """})
+    assert [info.qualname for info in graph.functions.values()] == [
+        "<module>", "outer", "outer.Local.method", "outer.closure",
+        "Outer.Inner.method", "Outer.method"]
+    # Import-time code belongs to the <module> entry.
+    sites = graph.calls[fid(graph, "::<module>")]
+    assert [site.external for site in sites] == ["time.time"]
+
+
+def test_only_module_scope_names_are_dispatch_targets(tmp_path: Path) -> None:
+    graph = build(tmp_path, {"mod.py": """
+        class Outer:
+            class Inner:
+                def poll(self):
+                    pass
+
+            def poll(self):
+                pass
+
+
+        def pump(thing):
+            thing.poll()
+    """})
+    assert callees_of(graph, fid(graph, "::pump")) == \
+        {fid(graph, "::Outer.poll")}
+
+
+def test_redefinitions_keep_both_bodies(tmp_path: Path) -> None:
+    graph = build(tmp_path, {"mod.py": """
+        class Node:
+            @property
+            def model(self):
+                return self._model
+
+            @model.setter
+            def model(self, value):
+                self._model = value
+    """})
+    assert sorted(graph.functions) == [
+        "mod.py::<module>", "mod.py::Node.model", "mod.py::Node.model@8"]

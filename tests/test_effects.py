@@ -163,3 +163,27 @@ def test_mutator_method_counts_as_parameter_mutation(tmp_path: Path) -> None:
     """})
     assert "queue" in analysis.mutated_params(fid(analysis, "::push"))
     assert "item" not in analysis.mutated_params(fid(analysis, "::push"))
+
+
+def test_every_load_of_a_clock_is_a_direct_origin(tmp_path: Path) -> None:
+    analysis = effects_for(tmp_path, {"mod.py": """
+        import time
+
+
+        def pair():
+            return time.time() - time.time()
+
+
+        def passes(env):
+            env.schedule(time.perf_counter)
+
+
+        def deferred(env):
+            env.schedule(lambda: time.monotonic())
+    """})
+    pair = analysis.origins_of(fid(analysis, "::pair"), WALL_CLOCK)
+    # Two reads on one line stay two origins.
+    assert [(o.line, o.col) for o in pair] == [(6, 11), (6, 25)]
+    # A reference handed on uncalled, and a lambda body, count too.
+    assert WALL_CLOCK in analysis.effects_of(fid(analysis, "::passes"))
+    assert WALL_CLOCK in analysis.effects_of(fid(analysis, "::deferred"))
