@@ -149,8 +149,10 @@ class _ProjectIndex:
     """Symbols the resolver looks up: functions, classes, module paths.
 
     Every ``def`` is an entry, but only module-scope functions and
-    classes (and those classes' methods) enter the symbol tables: the
-    resolver never dispatches to a closure or a nested class by name.
+    classes (and those classes' methods) enter the symbol tables.  A
+    method of a class at any depth is a name-fallback target
+    (``methods_by_name``), since an untyped receiver can hold an
+    instance of a nested class; a closure never is.
     """
 
     def __init__(self, modules: list[Module]) -> None:
@@ -212,8 +214,9 @@ class _ProjectIndex:
             self._add(info)
             if not def_prefix:
                 self.module_functions[path][node.name] = info
-            elif methods is not None:
-                methods[node.name] = info
+            elif class_name is not None:
+                if methods is not None:
+                    methods[node.name] = info
                 self.methods_by_name.setdefault(node.name, []).append(info)
             self._index_body(info, prefix=f"{qualname}.")
 

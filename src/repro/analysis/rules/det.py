@@ -24,7 +24,7 @@ DET002 guards the ordering stability of what crosses shard and wire
 boundaries: an expression whose order derives from an unordered set —
 syntactically, or via a call to a function the effect engine marks
 ``unordered-return`` — must not reach a ``ShardExchange`` payload or a
-serialized frame (``serialize``/``serialize_into``/``make_request``).
+serialized frame (``serialize``/``make_request``).
 ``sorted(...)`` is the sanctioned fix and launders the taint.
 """
 
@@ -131,7 +131,7 @@ def _direct_message(origin: EffectOrigin) -> str:
 
 
 #: Call targets whose arguments become exchange payloads or wire bytes.
-_WIRE_SINKS = frozenset({"serialize", "serialize_into", "make_request"})
+_WIRE_SINKS = frozenset({"serialize", "make_request"})
 _EXCHANGE_TYPES = frozenset({"ShardExchange"})
 
 

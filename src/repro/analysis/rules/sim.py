@@ -142,7 +142,7 @@ class ObjectAddressRule(_SimPathRule):
 #: run once per report, not once per event.
 HOT_LOOP_MODULES = frozenset({
     "events.py", "environment.py", "process.py", "clock.py",
-    "framing.py", "buffers.py", "medium.py", "sweep.py",
+    "framing.py", "medium.py", "sweep.py",
 })
 
 #: Serialization calls that re-encode per event; the boundary modules

@@ -27,7 +27,7 @@ class CommunityApp:
 
     Args:
         library: The device's PeerHood library.
-        recorder: Optional shared MSC recorder.
+        recorder: Optional shared MSC recorder, handed to the server.
         semantic: Use a teachable :class:`SemanticMatcher` instead of
             the paper's default exact matching.
         trust_policy: Server-side policy for inbound trust requests.
@@ -42,12 +42,11 @@ class CommunityApp:
                  retry_policy: RetryPolicy | None = None) -> None:
         self.library = library
         self.store = ProfileStore()
-        self.recorder = recorder
         self.pool = PeerConnectionPool(library, SERVICE_NAME)
         matcher = SemanticMatcher() if semantic else ExactMatcher()
         self.server = CommunityServer(library, self.store, recorder,
                                       trust_policy)
-        self.client = CommunityClient(library, self.store, self.pool, recorder,
+        self.client = CommunityClient(library, self.store, self.pool,
                                       retry_policy=retry_policy)
         self.engine = DynamicGroupEngine(library, self.store, self.pool,
                                          matcher)

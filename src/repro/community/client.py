@@ -28,7 +28,6 @@ from typing import Any
 from repro.community import protocol
 from repro.community.connections import PeerConnectionPool
 from repro.community.profile import MailMessage, ProfileStore
-from repro.msc.trace import MscRecorder
 from repro.net.connection import Connection
 from repro.net.messages import frame_size
 from repro.net.retry import (
@@ -132,12 +131,10 @@ class CommunityClient:
 
     def __init__(self, library: PeerHoodLibrary, store: ProfileStore,
                  pool: PeerConnectionPool,
-                 recorder: MscRecorder | None = None,
                  retry_policy: RetryPolicy | None = None) -> None:
         self.library = library
         self.store = store
         self.pool = pool
-        self.recorder = recorder
         self.env = library.daemon.env
         self.requests_sent = 0
         self.retry_policy = retry_policy or DEFAULT_CLIENT_POLICY

@@ -43,22 +43,18 @@ class MscRecorder:
 
     def __init__(self) -> None:
         self.events: list[MscEvent] = []
-        self.enabled = True
 
     def message(self, time: float, source: str, target: str, label: str) -> None:
         """Record a message arrow ``source -> target``."""
-        if self.enabled:
-            self.events.append(MscEvent(time, "message", source, target, label))
+        self.events.append(MscEvent(time, "message", source, target, label))
 
     def action(self, time: float, entity: str, label: str) -> None:
         """Record a local action (e.g. "writes comment to profile")."""
-        if self.enabled:
-            self.events.append(MscEvent(time, "action", entity, entity, label))
+        self.events.append(MscEvent(time, "action", entity, entity, label))
 
     def note(self, time: float, entity: str, label: str) -> None:
         """Record an annotation on one lifeline."""
-        if self.enabled:
-            self.events.append(MscEvent(time, "note", entity, entity, label))
+        self.events.append(MscEvent(time, "note", entity, entity, label))
 
     def clear(self) -> None:
         """Forget everything recorded so far."""

@@ -61,25 +61,6 @@ def serialize(payload: Any) -> bytes:
     return _LENGTH.pack(len(text)) + text.encode()
 
 
-def serialize_into(payload: Any, buffer: bytearray) -> int:
-    """Encode ``payload`` into ``buffer`` (resized in place).
-
-    Produces byte-for-byte the same frame as :func:`serialize`, but
-    reuses the caller's buffer (normally one checked out of
-    :data:`repro.net.buffers.frame_pool`) instead of materialising a
-    fresh ``bytes`` per message: the header is struct-packed in place
-    and the only transient left on the happy path is the encoder's
-    output text itself.  Returns the frame length.
-    """
-    text = _encode_text(payload)
-    length = len(text)
-    if len(buffer) < _LENGTH.size:
-        buffer[:] = b"\x00\x00\x00\x00"
-    buffer[_LENGTH.size:] = text.encode()
-    _LENGTH.pack_into(buffer, 0, length)
-    return _LENGTH.size + length
-
-
 def deserialize(frame: bytes | bytearray) -> Any:
     """Decode a frame produced by :func:`serialize`."""
     if len(frame) < _LENGTH.size:

@@ -39,9 +39,8 @@ from collections import deque
 from collections.abc import Callable
 from typing import Any
 
-from repro.net.buffers import frame_pool
 from repro.net.framing import Frame, FrameDecoder
-from repro.net.messages import FrameError, serialize_into
+from repro.net.messages import FrameError, serialize
 from repro.net.transport import ConnectionClosedError, NoListenerError
 
 #: Read granularity; small enough to exercise the incremental decoder,
@@ -95,23 +94,14 @@ class TcpConnection:
         if self.closed:
             raise ConnectionClosedError(
                 f"send on closed connection {self.local_id}->{self.remote_id}")
-        buffer = frame_pool.checkout()
-        try:
-            total = serialize_into(payload, buffer)
-            if self._on_frame is not None:
-                # Transcript taps retain the frame; give them their own
-                # immutable copy rather than the pooled buffer.
-                self._on_frame("send", bytes(buffer))
-            # Selector transports consume ``data`` synchronously inside
-            # write() (sent or copied into the transport buffer), so
-            # the pooled buffer is free for reuse after the drain.
-            self._writer.write(buffer)
-            await self._writer.drain()
-        finally:
-            frame_pool.checkin(buffer)
-        self.bytes_sent += total
+        frame = serialize(payload)
+        if self._on_frame is not None:
+            self._on_frame("send", frame)
+        self._writer.write(frame)
+        await self._writer.drain()
+        self.bytes_sent += len(frame)
         self.messages_sent += 1
-        return total
+        return len(frame)
 
     # -- receiving ------------------------------------------------------------
 
@@ -261,18 +251,11 @@ class TcpServer:
                 for frame in frames:
                     if self._on_frame is not None:
                         self._on_frame("recv", frame.raw)
-                    buffer = frame_pool.checkout()
-                    try:
-                        serialize_into(self.handler(frame.payload,
-                                                    remote_id), buffer)
-                        self.requests_handled += 1
-                        if self._on_frame is not None:
-                            self._on_frame("send", bytes(buffer))
-                        # write() consumes the bytes synchronously on
-                        # selector transports; safe to recycle after.
-                        writer.write(buffer)
-                    finally:
-                        frame_pool.checkin(buffer)
+                    reply = serialize(self.handler(frame.payload, remote_id))
+                    self.requests_handled += 1
+                    if self._on_frame is not None:
+                        self._on_frame("send", reply)
+                    writer.write(reply)
                 await writer.drain()
         except (ConnectionError, OSError):
             return  # peer reset mid-session; nothing to answer

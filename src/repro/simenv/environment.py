@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from functools import partial
-from sys import getrefcount
 from collections.abc import Callable, Generator
 from typing import Any
 
@@ -111,11 +110,6 @@ class Environment:
             event.callback()
             if failures:
                 self._raise_pending_failure()
-            # Recycle the fired event when nobody else holds a handle
-            # (refcount 2 = the local + getrefcount's argument), so
-            # steady-state scheduling stops allocating.
-            if getrefcount(event) == 2:
-                queue.release(event)
         if stop is None and until is not None and clock.now < until:
             clock.advance_to(until)
         return clock.now

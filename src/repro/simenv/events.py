@@ -5,28 +5,18 @@ ordering of simultaneous events deterministic: events scheduled earlier
 fire earlier.  Determinism matters because the MSC reproduction tests
 assert exact message orders.
 
-The queue is a *calendar queue*: virtual time is cut into fixed-width
-buckets.  Only the earliest non-empty bucket (the "current" bucket) is
-kept as a real binary heap of bare ``(time, sequence, event)`` tuples —
-ordering uses CPython's C-level tuple comparison, and heap discipline
-is only paid where it buys anything.  Later buckets are plain unsorted
-lists: scheduling into the future is a single ``append`` instead of an
-O(log n) sift, and a bucket is heapified once, when the clock reaches
-it.  A side min-heap of bucket indexes finds the next non-empty bucket
-in O(log buckets).
-
-Two allocation disciplines keep the steady state churn-free (see
-DESIGN.md §10): cancelled events are lazily deleted with per-bucket
-dead counters and per-bucket compaction (a cancel-heavy workload —
-retry timers, rediscovery probes — cannot grow any bucket without
-bound), and fired events are recycled through a free list when the
-run loop proves no one else holds a handle, so steady-state scheduling
-reuses ``__slots__``-packed objects instead of allocating.
+The queue is one binary heap of bare ``(time, sequence, event)``
+tuples, so ordering uses CPython's C-level tuple comparison.
+Cancellation is lazy: a cancelled event stays in the heap, costing
+what a live one would, and is dropped when it reaches the top.  Every
+push builds a new :class:`Event` and nothing is recycled, so a handle
+always names the one event it was returned for: a late ``cancel()``
+can only reach that event, never another one (see DESIGN.md §10).
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from collections.abc import Callable
 from typing import Any
 
@@ -35,23 +25,6 @@ from typing import Any
 #: attribute event throughput to scenarios that build several
 #: environments internally (Table 8, chaos replay).
 events_popped_global = 0
-
-#: Compaction triggers once at least this many cancelled entries are
-#: buried in a bucket *and* they outnumber the live ones there.
-_COMPACT_MIN_CANCELLED = 64
-
-#: Seconds of virtual time per calendar bucket.  Scheduling less than
-#: one bucket ahead degenerates to the classic single-heap behaviour;
-#: anything further is an O(1) append.  Sized so periodic second-scale
-#: work (discovery scans, retry backoff) lands past the current bucket.
-DEFAULT_BUCKET_WIDTH = 0.5
-
-#: Free-list cap: bounds how many fired events are kept for reuse.
-_FREE_LIST_MAX = 2048
-
-
-def _no_callback() -> None:  # pragma: no cover - never scheduled
-    raise AssertionError("recycled event fired")
 
 
 class Event:
@@ -64,29 +37,23 @@ class Event:
         cancelled: Cancelled events stay queued but are skipped.
     """
 
-    __slots__ = ("time", "sequence", "callback", "cancelled", "_queue",
-                 "_bucket")
+    __slots__ = ("time", "sequence", "callback", "cancelled", "_queue")
 
     def __init__(self, time: float, sequence: int,
-                 callback: Callable[[], Any]) -> None:
+                 callback: Callable[[], Any], queue: EventQueue) -> None:
         self.time = time
         self.sequence = sequence
         self.callback = callback
         self.cancelled = False
-        self._queue: EventQueue | None = None
-        #: Calendar bucket index at scheduling time.  Compared against
-        #: the queue's current index to attribute a lazy cancel to the
-        #: right dead counter; promotion moves events without touching
-        #: this (the comparison stays correct because the current index
-        #: only grows).
-        self._bucket = 0
+        #: The queue while the event is pending; ``None`` once popped.
+        self._queue: EventQueue | None = queue
 
     def cancel(self) -> None:
         """Mark the event so the loop skips it (O(1); lazy deletion)."""
         if not self.cancelled:
             self.cancelled = True
             if self._queue is not None:
-                self._queue._note_cancel(self)
+                self._queue._live -= 1
 
     def __repr__(self) -> str:
         state = "cancelled" if self.cancelled else "pending"
@@ -94,33 +61,13 @@ class Event:
 
 
 class EventQueue:
-    """Calendar queue of :class:`Event` with deterministic tie-breaking.
+    """Binary heap of :class:`Event` with deterministic tie-breaking."""
 
-    Invariant: every entry in a future bucket has a strictly later
-    bucket index than ``_current_index``, and bucket boundaries respect
-    time order, so the current heap's minimum is always the global
-    minimum.  Late schedules that land at or before the current bucket
-    are heap-pushed into it directly, preserving the invariant.
-    """
-
-    def __init__(self, bucket_width: float = DEFAULT_BUCKET_WIDTH) -> None:
-        if bucket_width <= 0:
-            raise ValueError(f"bucket_width must be positive: {bucket_width!r}")
-        self._inv_width = 1.0 / bucket_width
-        #: The earliest bucket, kept heapified.
-        self._current: list[tuple[float, int, Event]] = []
-        self._current_index = 0
-        #: Later buckets, unsorted; heapified on promotion.
-        self._future: dict[int, list[tuple[float, int, Event]]] = {}
-        #: Min-heap of future bucket indexes (may hold stale duplicates;
-        #: promotion skips indexes no longer present in ``_future``).
-        self._bucket_heap: list[int] = []
-        #: Cancelled-but-present counts: current bucket / per future bucket.
-        self._cancelled = 0
-        self._dead: dict[int, int] = {}
+    def __init__(self) -> None:
+        self._heap: list[tuple[float, int, Event]] = []
         self._sequence = 0
+        #: Pending events not cancelled.
         self._live = 0
-        self._free: list[Event] = []
         #: Live events fired so far (cancelled pops excluded) — the
         #: denominator for wall-clock events/sec benchmarks.
         self.popped_total = 0
@@ -135,28 +82,9 @@ class EventQueue:
         """Schedule ``callback`` at virtual ``time`` and return the event."""
         sequence = self._sequence
         self._sequence = sequence + 1
-        free = self._free
-        if free:
-            event = free.pop()
-            event.time = time
-            event.sequence = sequence
-            event.callback = callback
-            event.cancelled = False
-        else:
-            event = Event(time, sequence, callback)
-        event._queue = self
-        index = int(time * self._inv_width)
-        event._bucket = index
+        event = Event(time, sequence, callback, self)
         self._live += 1
-        if index <= self._current_index:
-            heappush(self._current, (time, sequence, event))
-        else:
-            bucket = self._future.get(index)
-            if bucket is None:
-                self._future[index] = [(time, sequence, event)]
-                heappush(self._bucket_heap, index)
-            else:
-                bucket.append((time, sequence, event))
+        heappush(self._heap, (time, sequence, event))
         return event
 
     def pop(self) -> Event:
@@ -179,103 +107,28 @@ class EventQueue:
         is left in place).
         """
         global events_popped_global
-        heap = self._current
-        while True:
-            while heap:
-                entry = heap[0]
-                event = entry[2]
-                if event.cancelled:
-                    heappop(heap)
-                    self._cancelled -= 1
-                    continue
-                if until is not None and entry[0] > until:
-                    return None
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            event = entry[2]
+            if event.cancelled:
                 heappop(heap)
-                # Detach before firing: a cancel() on an already-popped
-                # handle must not corrupt the dead counters, and a
-                # recycled event must not pin its old queue.
-                event._queue = None
-                self._live -= 1
-                self.popped_total += 1
-                events_popped_global += 1
-                return event
-            if not self._promote():
+                continue
+            if until is not None and entry[0] > until:
                 return None
-            heap = self._current
+            heappop(heap)
+            # Detach before firing: a cancel() on a fired handle must
+            # not touch the live count.
+            event._queue = None
+            self._live -= 1
+            self.popped_total += 1
+            events_popped_global += 1
+            return event
+        return None
 
     def peek_time(self) -> float | None:
         """Time of the earliest live event, or ``None`` when empty."""
-        heap = self._current
-        while True:
-            while heap and heap[0][2].cancelled:
-                heappop(heap)
-                self._cancelled -= 1
-            if heap:
-                return heap[0][0]
-            if not self._promote():
-                return None
-            heap = self._current
-
-    def release(self, event: Event) -> None:
-        """Offer a fired event back to the free list.
-
-        Only the run loop calls this, and only after proving (by
-        refcount) that no other handle to the event survives — a stale
-        handle could otherwise cancel a recycled event's *next*
-        incarnation.
-        """
-        free = self._free
-        if len(free) < _FREE_LIST_MAX:
-            event.callback = _no_callback
-            free.append(event)
-
-    # -- internals ---------------------------------------------------------
-
-    def _promote(self) -> bool:
-        """Move the earliest future bucket into the current heap."""
-        bucket_heap = self._bucket_heap
-        future = self._future
-        while bucket_heap:
-            index = heappop(bucket_heap)
-            bucket = future.pop(index, None)
-            if bucket is None:
-                continue  # stale duplicate or compacted-away bucket
-            heapify(bucket)
-            self._current = bucket
-            self._current_index = index
-            self._cancelled = self._dead.pop(index, 0)
-            return True
-        return False
-
-    def _note_cancel(self, event: Event) -> None:
-        """Account one lazy deletion; compact when the dead dominate."""
-        self._live -= 1
-        index = event._bucket
-        if index > self._current_index:
-            dead = self._dead
-            count = dead.get(index, 0) + 1
-            bucket = self._future[index]
-            if (count >= _COMPACT_MIN_CANCELLED
-                    and count * 2 > len(bucket)):
-                alive = [entry for entry in bucket
-                         if not entry[2].cancelled]
-                if alive:
-                    self._future[index] = alive
-                    dead[index] = 0
-                else:
-                    # The stale index stays in _bucket_heap; promotion
-                    # skips it once _future no longer holds it.
-                    del self._future[index]
-                    dead.pop(index, None)
-            else:
-                dead[index] = count
-        else:
-            count = self._cancelled + 1
-            if (count >= _COMPACT_MIN_CANCELLED
-                    and count * 2 > len(self._current)):
-                self._current = [entry for entry in self._current
-                                 if not entry[2].cancelled]
-                heapify(self._current)
-                self._cancelled = 0
-            else:
-                self._cancelled = count
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heappop(heap)
+        return heap[0][0] if heap else None

@@ -12,39 +12,22 @@ from repro.simenv.events import Event
 class PeriodicTimer:
     """Calls ``callback()`` every ``interval`` seconds until stopped.
 
-    Used by the PeerHood daemon for its discovery loops and by the
-    mobility world for position updates.  Optional ``jitter`` draws a
-    uniform offset in ``[-jitter, +jitter]`` from the named random
-    stream so that many devices' timers do not fire in lockstep —
-    matching how independent real daemons drift apart.
+    Used by the mobility world for position updates and by the
+    seamless-connectivity manager to poll link quality.  The first
+    firing is one ``interval`` after construction.
     """
 
-    def __init__(
-        self,
-        env: Environment,
-        interval: float,
-        callback: Callable[[], Any],
-        *,
-        start_immediately: bool = False,
-        jitter: float = 0.0,
-        stream: str = "timer",
-    ) -> None:
+    def __init__(self, env: Environment, interval: float,
+                 callback: Callable[[], Any]) -> None:
         if interval <= 0:
             raise ValueError(f"interval must be positive, got {interval!r}")
-        if jitter < 0 or jitter >= interval:
-            raise ValueError("jitter must satisfy 0 <= jitter < interval")
         self._env = env
         self._interval = interval
         self._callback = callback
-        self._jitter = jitter
-        self._stream = stream
         self._event: Event | None = None
         self._running = True
         self.fire_count = 0
-        if start_immediately:
-            self._event = env.call_in(0.0, self._fire)
-        else:
-            self._schedule_next()
+        self._schedule_next()
 
     @property
     def running(self) -> bool:
@@ -53,7 +36,7 @@ class PeriodicTimer:
 
     @property
     def interval(self) -> float:
-        """Seconds between firings (before jitter)."""
+        """Seconds between firings."""
         return self._interval
 
     def stop(self) -> None:
@@ -64,11 +47,7 @@ class PeriodicTimer:
             self._event = None
 
     def _schedule_next(self) -> None:
-        delay = self._interval
-        if self._jitter:
-            rng = self._env.random.stream(self._stream)
-            delay += rng.uniform(-self._jitter, self._jitter)
-        self._event = self._env.call_in(max(delay, 0.0), self._fire)
+        self._event = self._env.call_in(self._interval, self._fire)
 
     def _fire(self) -> None:
         if not self._running:

@@ -225,6 +225,32 @@ def test_det001_reports_every_direct_site_where_it_is() -> None:
         [(*site, "DET001") for site in DET001_SITES]
 
 
+@pytest.mark.parametrize("clocks", [
+    "class Host:\n"
+    "    def read_host(self):\n"
+    "        return time.time()\n",
+    "class Clocks:\n"
+    "    class Host:\n"
+    "        def read_host(self):\n"
+    "            return time.time()\n",
+], ids=["module_scope_class", "nested_class"])
+def test_det001_follows_untyped_calls_into_methods_at_any_depth(
+        tmp_path: Path, clocks: str) -> None:
+    # The clock helper sits outside the sim path, so only the chain
+    # from the untyped call carries it in: a method of a nested class
+    # is as much a dispatch target as one of a module-scope class.
+    helper = tmp_path / "util" / "clocks.py"
+    caller = tmp_path / "simenv" / "caller.py"
+    helper.parent.mkdir()
+    caller.parent.mkdir()
+    helper.write_text("import time\n\n\n" + clocks)
+    caller.write_text("def stamp(clock):\n"
+                      "    return clock.read_host()\n")
+    report = analyze_paths([helper, caller], root=tmp_path)
+    assert [(f.path, f.line, f.col, f.rule) for f in report.findings] == \
+        [("simenv/caller.py", 2, 0, "DET001")]
+
+
 def test_det002_taints_through_unordered_return_helpers() -> None:
     report = project_fixture("det002_bad")
     det = [f for f in report.findings if f.rule == "DET002"]

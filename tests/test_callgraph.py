@@ -227,7 +227,10 @@ def test_every_def_and_each_module_body_is_an_entry(tmp_path: Path) -> None:
     assert [site.external for site in sites] == ["time.time"]
 
 
-def test_only_module_scope_names_are_dispatch_targets(tmp_path: Path) -> None:
+def test_methods_at_any_depth_are_dispatch_targets(tmp_path: Path) -> None:
+    # An untyped receiver may hold an instance of a nested class, so
+    # name fallback reaches its methods too; a closure is never called
+    # through a receiver.
     graph = build(tmp_path, {"mod.py": """
         class Outer:
             class Inner:
@@ -238,11 +241,23 @@ def test_only_module_scope_names_are_dispatch_targets(tmp_path: Path) -> None:
                 pass
 
 
+        def factory():
+            class Local:
+                def poll(self):
+                    pass
+
+            def poll():
+                pass
+
+            return Local, poll
+
+
         def pump(thing):
             thing.poll()
     """})
-    assert callees_of(graph, fid(graph, "::pump")) == \
-        {fid(graph, "::Outer.poll")}
+    assert callees_of(graph, fid(graph, "::pump")) == {
+        fid(graph, "::Outer.poll"), fid(graph, "::Outer.Inner.poll"),
+        fid(graph, "::factory.Local.poll")}
 
 
 def test_redefinitions_keep_both_bodies(tmp_path: Path) -> None:

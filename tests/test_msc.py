@@ -34,12 +34,6 @@ class TestRecorder:
         assert recorder.labels("action") == ["act"]
         assert recorder.labels() == ["msg", "act", "n"]
 
-    def test_disabled_recorder_records_nothing(self):
-        recorder = MscRecorder()
-        recorder.enabled = False
-        recorder.message(0.0, "a", "b", "x")
-        assert recorder.events == []
-
     def test_subchart_filters_participants(self):
         recorder = MscRecorder()
         recorder.message(0.0, "a", "b", "keep")

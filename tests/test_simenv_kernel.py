@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.simenv import Environment, EventQueue, Signal, SimClock, SimulationError
 from repro.simenv.clock import SimClock as Clock
-from repro.simenv.events import _COMPACT_MIN_CANCELLED
 
 
 class TestSimClock:
@@ -92,8 +91,8 @@ class TestEventQueue:
         assert not queue
 
 
-class TestCalendarQueueEdges:
-    """Compaction, promotion and recycling edges of the calendar queue."""
+class TestEventQueueEdges:
+    """Ordering and cancel edges of the event queue."""
 
     def test_cancel_then_reschedule_identical_timestamp(self):
         queue = EventQueue()
@@ -109,7 +108,7 @@ class TestCalendarQueueEdges:
             queue.pop().callback()
         assert fired == ["a", "b", "c"]
 
-    def test_far_future_bucket_preserves_order(self):
+    def test_far_future_events_preserve_order(self):
         queue = EventQueue()
         fired = []
         queue.push(1000.25, lambda: fired.append("far-late"))
@@ -119,38 +118,7 @@ class TestCalendarQueueEdges:
             queue.pop().callback()
         assert fired == ["near", "far-early", "far-late"]
 
-    def test_current_bucket_compaction_mid_pop_before(self):
-        queue = EventQueue()
-        survivors = []
-        doomed = [queue.push(0.01 * i, lambda: None)
-                  for i in range(2 * _COMPACT_MIN_CANCELLED)]
-        keep = [queue.push(0.01 * i + 0.005,
-                           lambda i=i: survivors.append(i))
-                for i in range(8)]
-        fired_first = queue.pop_before(0.001)
-        assert fired_first is doomed[0]
-        # Cancelling the rest triggers compaction while pop_before's
-        # cursor sits mid-bucket; the survivors must come out intact
-        # and in order.
-        for event in doomed[1:]:
-            event.cancel()
-        assert len(queue) == len(keep)
-        while queue:
-            event = queue.pop_before(None)
-            event.callback()
-        assert survivors == list(range(8))
-
-    def test_future_bucket_compaction_drops_empty_bucket(self):
-        queue = EventQueue()
-        far = [queue.push(100.0, lambda: None)
-               for _ in range(2 * _COMPACT_MIN_CANCELLED)]
-        queue.push(200.0, lambda: None)
-        for event in far:
-            event.cancel()
-        assert len(queue) == 1
-        assert queue.peek_time() == 200.0
-
-    def test_promotion_skips_cancelled_entries(self):
+    def test_cancelled_entry_at_shared_time_is_skipped(self):
         queue = EventQueue()
         fired = []
         doomed = queue.push(50.0, lambda: fired.append("doomed"))
@@ -169,15 +137,6 @@ class TestCalendarQueueEdges:
         assert len(queue) == 1
         assert queue.pop().time == 2.0
 
-    def test_run_loop_recycles_unreferenced_events(self, env: Environment):
-        env.call_in(0.5, lambda: None)
-        env.run()
-        recycled = env.queue.push(9.0, lambda: None)
-        assert recycled.cancelled is False
-        assert recycled.time == 9.0
-        # The free list had exactly the one fired event in it.
-        assert env.queue._free == []
-
     def test_held_handles_are_never_recycled(self, env: Environment):
         held = env.call_in(0.5, lambda: None)
         env.run()
@@ -190,16 +149,22 @@ class TestCalendarQueueEdges:
                   st.floats(min_value=0.0, max_value=100.0,
                             allow_nan=False, allow_infinity=False)),
         st.tuples(st.just("cancel"), st.integers(min_value=0)),
+        st.tuples(st.just("cancel_fired"), st.integers(min_value=0)),
         st.tuples(st.just("pop")),
         st.tuples(st.just("pop_before"),
                   st.floats(min_value=0.0, max_value=100.0,
                             allow_nan=False, allow_infinity=False)),
     ), min_size=1, max_size=60))
     def test_interleavings_preserve_time_sequence_order(self, ops):
-        """Any schedule/cancel/pop interleaving matches a sorted model."""
-        queue = EventQueue(bucket_width=0.75)
+        """Any schedule/cancel/pop interleaving matches a sorted model.
+
+        Cancelling a handle whose event already fired changes neither
+        the live count nor the pop order.
+        """
+        queue = EventQueue()
         model: list[tuple[float, int]] = []  # live (time, sequence)
         handles = {}
+        fired = []  # handles of popped events
         sequence = 0
         floor = 0.0  # popped events only ever move forward in time
         for op in ops:
@@ -213,12 +178,16 @@ class TestCalendarQueueEdges:
                     victim = model[op[1] % len(model)]
                     handles[victim[1]].cancel()
                     model.remove(victim)
+            elif op[0] == "cancel_fired":
+                if fired:
+                    fired[op[1] % len(fired)].cancel()
             elif op[0] == "pop":
                 if model:
                     expected = min(model)
                     event = queue.pop()
                     assert (event.time, event.sequence) == expected
                     model.remove(expected)
+                    fired.append(event)
                     floor = expected[0]
                 else:
                     with pytest.raises(IndexError):
@@ -231,6 +200,7 @@ class TestCalendarQueueEdges:
                     assert event is not None
                     assert (event.time, event.sequence) == expected
                     model.remove(expected)
+                    fired.append(event)
                     floor = expected[0]
                 else:
                     assert event is None

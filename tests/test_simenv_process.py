@@ -215,13 +215,6 @@ class TestPeriodicTimer:
         env.run(until=7.0)
         assert times == [2.0, 4.0, 6.0]
 
-    def test_start_immediately(self, env: Environment):
-        times = []
-        PeriodicTimer(env, 2.0, lambda: times.append(env.now),
-                      start_immediately=True)
-        env.run(until=3.0)
-        assert times == [0.0, 2.0]
-
     def test_stop_prevents_future_fires(self, env: Environment):
         times = []
         timer = PeriodicTimer(env, 1.0, lambda: times.append(env.now))
@@ -241,21 +234,9 @@ class TestPeriodicTimer:
         env.run(until=5.0)
         assert timer_holder[0].fire_count == 1
 
-    def test_jitter_varies_but_stays_bounded(self, env: Environment):
-        times = []
-        PeriodicTimer(env, 10.0, lambda: times.append(env.now), jitter=1.0)
-        env.run(until=100.0)
-        gaps = [b - a for a, b in zip(times, times[1:], strict=False)]
-        assert all(9.0 <= gap <= 11.0 for gap in gaps)
-        assert len(set(round(gap, 6) for gap in gaps)) > 1
-
     def test_invalid_interval_rejected(self, env: Environment):
         with pytest.raises(ValueError):
             PeriodicTimer(env, 0.0, lambda: None)
-
-    def test_invalid_jitter_rejected(self, env: Environment):
-        with pytest.raises(ValueError):
-            PeriodicTimer(env, 1.0, lambda: None, jitter=1.0)
 
 
 class TestRandomStreams:
