@@ -137,42 +137,26 @@ class DynamicGroupEngine:
             # Transient link failure: the peer is probably still there
             # (churn, flap).  Retry like the nobody-logged-in case
             # instead of silently forgetting the device.
-            self.pool.drop(device_id)
-            self._probing.discard(device_id)
-            if attempt < self.max_retries:
-                self.env.call_in(self.retry_interval,
-                                 self._retry_probe, device_id, attempt + 1)
+            self._probe_failed(device_id, attempt, drop=True)
             return None
         if payload is None:
-            self._probing.discard(device_id)
-            if attempt < self.max_retries:
-                self.env.call_in(self.retry_interval,
-                                 self._retry_probe, device_id, attempt + 1)
+            self._probe_failed(device_id, attempt)
             return None
         try:
             status = protocol.response_status(payload)
         except protocol.ProtocolError:
             # Corrupted-in-flight reply; same treatment as a lost one.
-            self.pool.drop(device_id)
-            self._probing.discard(device_id)
-            if attempt < self.max_retries:
-                self.env.call_in(self.retry_interval,
-                                 self._retry_probe, device_id, attempt + 1)
+            self._probe_failed(device_id, attempt, drop=True)
             return None
         if status == protocol.NO_MEMBERS_YET:
             # Nobody logged in over there yet; retry a few times.
-            self._probing.discard(device_id)
-            if attempt < self.max_retries:
-                self.env.call_in(self.retry_interval,
-                                 self._retry_probe, device_id, attempt + 1)
+            self._probe_failed(device_id, attempt)
             return None
         if status != protocol.STATUS_OK:
-            self._probing.discard(device_id)
-            if status == protocol.BAD_REQUEST and attempt < self.max_retries:
-                # Our request corrupted en route; the probe is worth
-                # repeating — the peer itself is fine.
-                self.env.call_in(self.retry_interval,
-                                 self._retry_probe, device_id, attempt + 1)
+            # Only a BAD_REQUEST is worth repeating: our request
+            # corrupted en route, and the peer itself is fine.
+            self._probe_failed(device_id, attempt,
+                               retry=status == protocol.BAD_REQUEST)
             return None
         member_id = payload["member_id"]
         interests = list(payload.get("interests", []))
@@ -184,6 +168,18 @@ class DynamicGroupEngine:
             matched=tuple(matched)))
         self._probing.discard(device_id)
         return matched
+
+    def _probe_failed(self, device_id: str, attempt: int, *,
+                      drop: bool = False, retry: bool = True) -> None:
+        """End a failed probe: drop the pooled link when it is suspect,
+        release the device, and schedule the next attempt while
+        retries remain."""
+        if drop:
+            self.pool.drop(device_id)
+        self._probing.discard(device_id)
+        if retry and attempt < self.max_retries:
+            self.env.call_in(self.retry_interval,
+                             self._retry_probe, device_id, attempt + 1)
 
     def reconcile(self) -> int:
         """Probe service-advertising neighbours missing from the directory.

@@ -90,8 +90,9 @@ def populate_crowd(bed: Testbed, count: int, *,
     with probability ``walker_fraction`` — enough churn that topology
     maintenance costs show, while most links survive between scans.
 
-    Population runs inside ``world.batch()`` so listeners hear one
-    coalesced report instead of ``count`` separate ones.
+    Members are placed one at a time through
+    :meth:`Testbed.add_member`; each placement's notifications cost the
+    radio medium O(1) whatever the crowd's size.
 
     Returns the created member handles (named ``m0000``, ``m0001``...).
     """
@@ -101,20 +102,19 @@ def populate_crowd(bed: Testbed, count: int, *,
     pitch_x = bounds.width / columns
     pitch_y = bounds.height / columns
     members = []
-    with bed.world.batch():
-        for index in range(count):
-            row, column = divmod(index, columns)
-            position = Point(
-                bounds.min_x + (column + 0.5 + rng.uniform(-0.3, 0.3)) * pitch_x,
-                bounds.min_y + (row + 0.5 + rng.uniform(-0.3, 0.3)) * pitch_y)
-            interests = random_interests(rng)
-            if shared_interest and shared_interest not in interests:
-                interests.append(shared_interest)
-            model = None
-            if rng.random() < walker_fraction:
-                model = RandomWalk(bounds, walker_speed,
-                                   bed.env.random.stream(f"{stream}.walk{index}"),
-                                   turn_interval=8.0)
-            members.append(bed.add_member(f"m{index:04d}", interests,
-                                          position=position, model=model))
+    for index in range(count):
+        row, column = divmod(index, columns)
+        position = Point(
+            bounds.min_x + (column + 0.5 + rng.uniform(-0.3, 0.3)) * pitch_x,
+            bounds.min_y + (row + 0.5 + rng.uniform(-0.3, 0.3)) * pitch_y)
+        interests = random_interests(rng)
+        if shared_interest and shared_interest not in interests:
+            interests.append(shared_interest)
+        model = None
+        if rng.random() < walker_fraction:
+            model = RandomWalk(bounds, walker_speed,
+                               bed.env.random.stream(f"{stream}.walk{index}"),
+                               turn_interval=8.0)
+        members.append(bed.add_member(f"m{index:04d}", interests,
+                                      position=position, model=model))
     return members

@@ -4,18 +4,9 @@
 made each discovery scan O(N) and a scan round O(N²) at crowd scale.
 The grid buckets nodes into square cells keyed by integer coordinates;
 a disc query only visits the cells its bounding square overlaps, so the
-cost follows local density rather than world population.
-
-Beyond membership, every cell carries a monotonically increasing
-*epoch* counter bumped whenever the set of positions inside the cell
-changes (a node enters, leaves, moves within it, or is touched by an
-adapter state change).  Summing the epochs of the cells a disc covers
-yields a cheap *region stamp*: if no position inside (or entering /
-leaving) the disc's cell cover changed, the stamp is unchanged, so a
-memoized neighbour listing stamped with it is still valid.  This is
-what lets the radio medium keep everyone else's cached topology when
-one node moves — the incremental alternative to dropping every cache
-on every movement tick.
+cost follows local density rather than world population.  The grid
+answers membership only and keeps no change counters: the radio
+medium's caches hold for one topology version of the medium's own.
 """
 
 from __future__ import annotations
@@ -33,7 +24,7 @@ _COVER_MARGIN = 1.0 + 2.0 ** -20
 
 
 class SpatialGrid:
-    """Uniform hash grid over the plane with per-cell change epochs.
+    """Uniform hash grid over the plane.
 
     Args:
         cell_size: Edge length of one square cell in metres.  Queries
@@ -42,19 +33,14 @@ class SpatialGrid:
             disc then covers at most 3x3 cells).
     """
 
-    __slots__ = ("cell_size", "generation", "_cells", "_where", "_epochs")
+    __slots__ = ("cell_size", "_cells", "_where")
 
     def __init__(self, cell_size: float) -> None:
         if cell_size <= 0.0:
             raise ValueError(f"cell_size must be positive, got {cell_size!r}")
         self.cell_size = cell_size
-        #: Bumped when the grid is rebuilt with a new cell size; region
-        #: stamps embed it so stamps from different geometries never
-        #: compare equal by coincidence.
-        self.generation = 0
         self._cells: dict[tuple[int, int], set[str]] = {}
         self._where: dict[str, tuple[int, int]] = {}
-        self._epochs: dict[tuple[int, int], int] = {}
 
     def __len__(self) -> int:
         return len(self._where)
@@ -66,9 +52,6 @@ class SpatialGrid:
         """Cell coordinates containing the point ``(x, y)``."""
         size = self.cell_size
         return (int(x // size), int(y // size))
-
-    def _bump(self, key: tuple[int, int]) -> None:
-        self._epochs[key] = self._epochs.get(key, 0) + 1
 
     # -- membership ---------------------------------------------------------
 
@@ -82,7 +65,6 @@ class SpatialGrid:
         if bucket is None:
             bucket = self._cells[key] = set()
         bucket.add(node_id)
-        self._bump(key)
 
     def remove(self, node_id: str) -> None:
         """Remove a node; raises ``KeyError`` if absent."""
@@ -91,21 +73,14 @@ class SpatialGrid:
         bucket.discard(node_id)
         if not bucket:
             del self._cells[key]
-        self._bump(key)
 
-    def move(self, node_id: str, position: Point) -> bool:
-        """Re-bucket a node after a position change.
-
-        Returns ``True`` when the node crossed into another cell (the
-        only case that costs set operations); a within-cell move just
-        bumps the cell's epoch, because distances to the node changed
-        even though its bucket did not.
-        """
+    def move(self, node_id: str, position: Point) -> None:
+        """Re-bucket a node after a position change (a within-cell move
+        costs one key comparison)."""
         new_key = self.key_for(position.x, position.y)
         old_key = self._where[node_id]
         if new_key == old_key:
-            self._bump(old_key)
-            return False
+            return
         self._where[node_id] = new_key
         bucket = self._cells[old_key]
         bucket.discard(node_id)
@@ -115,18 +90,6 @@ class SpatialGrid:
         if new_bucket is None:
             new_bucket = self._cells[new_key] = set()
         new_bucket.add(node_id)
-        self._bump(old_key)
-        self._bump(new_key)
-        return True
-
-    def touch(self, node_id: str) -> None:
-        """Bump the node's cell epoch without moving it.
-
-        Used for non-positional changes that still affect who-sees-whom
-        (an adapter powering on or off): every cached listing whose
-        region covers the node's cell must re-derive.
-        """
-        self._bump(self._where[node_id])
 
     # -- queries ------------------------------------------------------------
 
@@ -157,29 +120,6 @@ class SpatialGrid:
                     found.extend(bucket)
         return found
 
-    def region_stamp(self, center: Point,
-                     radius: float) -> tuple[int, ...]:
-        """Opaque stamp identifying the state of the disc's cell cover.
-
-        Equal stamps guarantee the *same* cells were covered and that
-        no node inside them moved, entered, left or was touched since
-        the earlier stamp was taken (epochs only grow, so the sum over
-        a fixed cover only grows).  The cover bounds are part of the
-        stamp: when the disc's centre drifts onto a different cell set,
-        the epoch sums of the old and new covers are sums over
-        *different* cells and can coincide numerically — without the
-        bounds, such a collision would validate a stale listing.  The
-        grid generation is included so stamps taken before a
-        :meth:`rebuild` never match stamps taken after.
-        """
-        min_cx, max_cx, min_cy, max_cy = self.cell_range(center, radius)
-        epochs = self._epochs
-        total = 0
-        for cx in range(min_cx, max_cx + 1):
-            for cy in range(min_cy, max_cy + 1):
-                total += epochs.get((cx, cy), 0)
-        return (self.generation, min_cx, max_cx, min_cy, max_cy, total)
-
     # -- maintenance --------------------------------------------------------
 
     def rebuild(self, cell_size: float, positions: dict[str, Point]) -> None:
@@ -192,10 +132,8 @@ class SpatialGrid:
         if cell_size <= 0.0:
             raise ValueError(f"cell_size must be positive, got {cell_size!r}")
         self.cell_size = cell_size
-        self.generation += 1
         self._cells.clear()
         self._where.clear()
-        self._epochs.clear()
         for node_id, position in positions.items():
             key = self.key_for(position.x, position.y)
             self._where[node_id] = key

@@ -2,16 +2,15 @@
 
 Proximity queries are served by a uniform :class:`~repro.mobility.grid.
 SpatialGrid` so ``nodes_within`` costs O(cell occupancy) instead of
-O(N), and movement is reported *per node* (a :class:`MovementReport`)
-so listeners such as the radio medium can invalidate incrementally
-instead of dropping all memoized topology on every tick.  The grid is
-the only proximity path; ``tests/test_spatial_grid.py`` checks it
-against an O(N²) model kept in the test.
+O(N).  Every change of position or population is one
+:class:`MovementReport` to the listeners (a tick that moved nobody
+sends none); the radio medium starts a new topology version on each.
+The grid is the only proximity path; ``tests/test_spatial_grid.py``
+checks it against an O(N²) model kept in the test.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from collections.abc import Callable, Iterable, Iterator
 
 from repro.mobility.geometry import Point, Rect, distance
@@ -59,35 +58,22 @@ class MobileNode:
 class MovementReport:
     """What changed in one notification: which nodes, and how.
 
-    ``moved`` lists every node whose position changed (``crossed`` is
-    the subset that landed in a different grid cell); ``added`` and
+    ``moved`` lists every node whose position changed; ``added`` and
     ``removed`` cover population changes.
     """
 
-    __slots__ = ("moved", "crossed", "added", "removed")
+    __slots__ = ("moved", "added", "removed")
 
     def __init__(self, moved: tuple[str, ...] = (),
-                 crossed: tuple[str, ...] = (),
                  added: tuple[str, ...] = (),
                  removed: tuple[str, ...] = ()) -> None:
         self.moved = moved
-        self.crossed = crossed
         self.added = added
         self.removed = removed
 
-    def changed_ids(self) -> tuple[str, ...]:
-        """Every node id this report touches, deduplicated."""
-        if not (self.added or self.removed):
-            return self.moved
-        seen = dict.fromkeys(self.moved)
-        seen.update(dict.fromkeys(self.added))
-        seen.update(dict.fromkeys(self.removed))
-        return tuple(seen)
-
     def __repr__(self) -> str:
         return (f"MovementReport(moved={len(self.moved)}, "
-                f"crossed={len(self.crossed)}, added={len(self.added)}, "
-                f"removed={len(self.removed)})")
+                f"added={len(self.added)}, removed={len(self.removed)})")
 
 
 class World:
@@ -121,9 +107,6 @@ class World:
         self._listeners: list[Callable[[MovementReport], None]] = []
         self._grid = SpatialGrid(
             cell_size if cell_size is not None else DEFAULT_CELL_SIZE)
-        self._batch_depth = 0
-        self._pending: dict[str, set[str]] = {
-            "moved": set(), "crossed": set(), "added": set(), "removed": set()}
         self._timer = PeriodicTimer(env, tick, self._advance)
         self._last_tick_time = env.now
 
@@ -244,10 +227,6 @@ class World:
         found.sort(key=lambda node: node.node_id)
         return found
 
-    def region_stamp(self, node_id: str, radius: float) -> tuple[int, ...]:
-        """Change stamp for the disc around ``node_id`` (see grid docs)."""
-        return self._grid.region_stamp(self._nodes[node_id].position, radius)
-
     # -- grid maintenance -------------------------------------------------
 
     def require_cell_size(self, range_m: float) -> None:
@@ -263,43 +242,18 @@ class World:
         grid.rebuild(range_m, {node_id: node.position
                                for node_id, node in self._nodes.items()})
 
-    def touch_node(self, node_id: str) -> None:
-        """Mark a node changed without moving it (adapter toggles)."""
-        if node_id in self._nodes:
-            self._grid.touch(node_id)
-
     # -- movement ------------------------------------------------------------
 
     def move_node(self, node_id: str, position: Point) -> None:
         """Teleport a node (used by tests and scenario setup)."""
         node = self._nodes[node_id]
         node.position = self.bounds.clamp(position)
-        crossed = self._grid.move(node_id, node.position)
-        self._notify(MovementReport(
-            moved=(node_id,), crossed=(node_id,) if crossed else ()))
+        self._grid.move(node_id, node.position)
+        self._notify(MovementReport(moved=(node_id,)))
 
     def on_moves(self, listener: Callable[[MovementReport], None]) -> None:
         """Register a callback receiving per-node movement reports."""
         self._listeners.append(listener)
-
-    @contextmanager
-    def batch(self) -> Iterator[World]:
-        """Coalesce notifications across a bulk mutation.
-
-        Populating a 1,024-node testbed fires one listener pass per
-        ``add_node`` otherwise — O(N) passes over listeners that each
-        do O(N) work downstream.  Inside ``with world.batch():`` all
-        reports merge and listeners fire once on exit (and not at all
-        when nothing changed).  Reentrant; only the outermost exit
-        flushes.
-        """
-        self._batch_depth += 1
-        try:
-            yield self
-        finally:
-            self._batch_depth -= 1
-            if self._batch_depth == 0:
-                self._flush_pending()
 
     def stop(self) -> None:
         """Stop the movement timer (ends the simulation's busy loop)."""
@@ -322,7 +276,6 @@ class World:
         grid = self._grid
         clamp = self.bounds.clamp
         moved: list[str] = []
-        crossed: list[str] = []
         for node in self._movers.values():
             position = node.position
             new_position = clamp(node._model.step(position, dt))
@@ -331,32 +284,10 @@ class World:
                     or new_position.y != position.y):
                 node.position = new_position
                 moved.append(node.node_id)
-                if grid.move(node.node_id, new_position):
-                    crossed.append(node.node_id)
+                grid.move(node.node_id, new_position)
         if moved:
-            self._notify(MovementReport(moved=tuple(moved),
-                                        crossed=tuple(crossed)))
+            self._notify(MovementReport(moved=tuple(moved)))
 
     def _notify(self, report: MovementReport) -> None:
-        if self._batch_depth > 0:
-            pending = self._pending
-            pending["moved"].update(report.moved)
-            pending["crossed"].update(report.crossed)
-            pending["added"].update(report.added)
-            pending["removed"].update(report.removed)
-            return
         for listener in self._listeners:
             listener(report)
-
-    def _flush_pending(self) -> None:
-        pending = self._pending
-        if not (pending["moved"] or pending["crossed"] or pending["added"]
-                or pending["removed"]):
-            return
-        report = MovementReport(moved=tuple(sorted(pending["moved"])),
-                                crossed=tuple(sorted(pending["crossed"])),
-                                added=tuple(sorted(pending["added"])),
-                                removed=tuple(sorted(pending["removed"])))
-        for bucket in pending.values():
-            bucket.clear()
-        self._notify(report)

@@ -51,8 +51,8 @@ class Plugin:
         adapter = self.medium.adapter(self.device_id, self.technology.name)
         return adapter is not None and adapter.enabled
 
-    def scan_duration(self, responders: int) -> float:
-        """Seconds one discovery scan takes given ``responders`` peers."""
+    def scan_duration(self) -> float:
+        """Seconds one discovery scan started now takes."""
         return self.technology.discovery_time_s
 
     def gateway(self) -> GprsGateway | None:
@@ -67,16 +67,14 @@ class Plugin:
         """
         if not self.available():
             return []
-        technology_name = self.technology.name
-        found = self.medium.neighbors(self.device_id, technology_name)
         self.scan_count += 1
-        duration = self.scan_duration(len(found))
+        duration = self.scan_duration()
         delay = self._scan_delay
         if delay is None or delay.seconds != duration:
             delay = self._scan_delay = Delay(duration)
         yield delay
-        # Re-read after the scan: devices may have moved during it.
-        return self.medium.neighbors(self.device_id, technology_name)
+        # Read at the end of the scan: devices may move during it.
+        return self.medium.neighbors(self.device_id, self.technology.name)
 
     def connect(self, remote_id: str, port: str) -> Generator:
         """Process generator: connect to ``port`` on ``remote_id``.

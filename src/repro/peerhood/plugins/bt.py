@@ -31,9 +31,12 @@ class BTPlugin(Plugin):
         self.bt = BluetoothAdapter(
             device_id, env.random.stream(f"bt:{device_id}"))
 
-    def scan_duration(self, responders: int) -> float:
-        """Inquiry time grows with the number of responding devices."""
-        return self.bt.inquiry_duration(responders)
+    def scan_duration(self) -> float:
+        """Inquiry time grows with the number of devices that respond
+        when the scan starts."""
+        responders = self.medium.neighbors(self.device_id,
+                                           self.technology.name)
+        return self.bt.inquiry_duration(len(responders))
 
     def connect(self, remote_id: str, port: str) -> Generator:
         """Page the remote device and open an L2CAP-style channel.

@@ -17,20 +17,16 @@ on the two world positions.  ``reachable``, the grid-backed
 sweep all apply it, so a device ``neighbors`` lists is one ``reachable``
 accepts.
 
-Invalidation is *incremental*: the world reports which nodes moved per
-tick and the medium drops only the reachability verdicts involving
-those nodes (via a per-node key index), so when one node out of a
-thousand moves the other 999 devices' memoized verdicts stay hot.
-Cache *hits* stay a single dict lookup.  Neighbour listings are
-validated lazily instead: each carries the spatial grid's *region
-stamp* for the radio disc it covers, so a listing survives until
-somebody inside that disc's cells moves, joins, leaves or toggles an
-adapter.  Adapter power toggles invalidate only the owning device's
-pairs.
+Caches hold for one *topology version*.  Anything that can change who
+reaches whom (a world movement report, an adapter attached, detached or
+powered, a gateway registered) starts a new version, which clears the
+memoized ``reachable`` verdicts and scalar neighbour listings however
+many nodes moved.  Between changes a hit is a single dict lookup; a
+room where nothing changes keeps its caches.
 
 At crowd scale a local technology's listings come instead from one
 numpy sweep of its whole roster (:mod:`repro.radio.sweep`), kept as one
-record per technology and valid until the topology version moves.
+record per technology and valid while the topology version holds.
 """
 
 from __future__ import annotations
@@ -80,11 +76,8 @@ class Adapter:
         value = bool(value)
         if value != self._enabled:
             self._enabled = value
-            # Powering a radio changes who can reach whom — but only
-            # for pairs involving *this* device.
             if self._medium is not None:
-                self._medium._adapters_changed([self.device_id],
-                                               self.technology.name)
+                self._medium._adapters_changed(self.technology.name)
 
     @property
     def cost_incurred(self) -> float:
@@ -138,28 +131,20 @@ class Medium:
         #: constantly at 100k-device scale.
         self._by_technology: dict[str, dict[str, None]] = {}
         self._gateways: set[str] = set()
-        #: Memoized ``reachable`` verdicts, evicted per endpoint.
+        #: Memoized ``reachable`` verdicts for the current topology
+        #: version.
         self._reachable_cache: dict[tuple[str, str, str], bool] = {}
-        #: node id -> cache keys involving it, for targeted eviction.
-        #: Sets may hold keys already evicted via the other endpoint;
-        #: eviction tolerates misses, and re-derived entries re-add
-        #: their key, so the index stays bounded by the live pair set.
-        self._reach_index: dict[str, set[tuple[str, str, str]]] = {}
-        #: (device, tech) -> (listing, stamp) for the scalar paths: a
-        #: materialized listing with the grid region stamp of the radio
-        #: disc (local radios) or the (roster epoch, gateway epoch)
-        #: tuple (wide-area).
-        self._neighbors_cache: dict[tuple[str, str],
-                                    tuple[list[str], tuple[int, ...]]] = {}
+        #: (device, tech) -> scalar-path listing for the current
+        #: topology version.
+        self._neighbors_cache: dict[tuple[str, str], list[str]] = {}
         #: Per-technology roster change counter (attach/detach/power
-        #: toggles) — validates wide-area neighbour listings.
+        #: toggles); with the population epoch it keys who a sweep
+        #: covers.
         self._tech_epoch: dict[str, int] = {}
-        self._gateway_epoch = 0
         #: Monotone counter covering *anything* that can change a
-        #: neighbour listing: movement, population, adapter power,
-        #: gateways.  A sweep record is stamped with it, so validating
-        #: one costs a single integer compare instead of a region-stamp
-        #: walk.
+        #: verdict or a listing: movement, population, adapters,
+        #: gateways.  Both caches hold for one version, and a sweep
+        #: record is stamped with it.
         self._topology_version = 0
         #: Roster size from which a local technology is swept whole;
         #: ``None`` when it never is (numpy does not import).
@@ -177,44 +162,25 @@ class Medium:
 
     # -- invalidation ----------------------------------------------------
 
-    def _evict_node(self, node_id: str) -> None:
-        """Drop every cached verdict involving ``node_id``."""
-        keys = self._reach_index.pop(node_id, None)
-        if keys:
-            cache = self._reachable_cache
-            for key in keys:
-                cache.pop(key, None)
+    def _topology_changed(self) -> None:
+        """Start a new topology version: drop every verdict and listing."""
+        self._topology_version += 1
+        self._reachable_cache.clear()
+        self._neighbors_cache.clear()
 
     def _apply_report(self, report: MovementReport) -> None:
-        """Movement listener: evict only what the movers invalidate.
-
-        Neighbour listings need no work here — the grid bumped the
-        movers' cell epochs, so any listing whose disc covers them
-        fails its region-stamp check on next read.
-        """
-        self._topology_version += 1
+        """Movement listener: any move or population change is a new
+        topology version."""
         if report.added or report.removed:
             self._population_epoch += 1
-        for node_id in report.changed_ids():
-            self._evict_node(node_id)
+        self._topology_changed()
 
-    def _adapters_changed(self, device_ids: list[str],
-                          technology_name: str) -> None:
-        """These devices' adapter sets or power states changed.
-
-        Only pairs involving them can have changed: evict their
-        verdicts, stamp their grid cells (so listings whose disc covers
-        one re-derive) and bump the technology's roster epoch
-        (wide-area listings) and the topology version, once for all.
-        """
-        self._topology_version += 1
+    def _adapters_changed(self, technology_name: str) -> None:
+        """Adapters of the technology were attached, detached or
+        toggled: bump its roster epoch and the topology version."""
         self._tech_epoch[technology_name] = \
             self._tech_epoch.get(technology_name, 0) + 1
-        evict = self._evict_node
-        touch = self.world.touch_node
-        for device_id in device_ids:
-            evict(device_id)
-            touch(device_id)
+        self._topology_changed()
 
     # -- attachment ------------------------------------------------------
 
@@ -236,7 +202,6 @@ class Medium:
         if roster is None:
             roster = self._by_technology[name] = {}
         attached: list[Adapter] = []
-        ids: list[str] = []
         try:
             for device_id in device_ids:
                 key = (device_id, name)
@@ -248,15 +213,14 @@ class Medium:
                 adapters[key] = adapter
                 roster[device_id] = None
                 attached.append(adapter)
-                ids.append(device_id)
         finally:
-            if ids:
+            if attached:
                 if technology.range_m is not None:
                     # Keep grid cells at least one radio range wide so
                     # a neighbour disc overlaps a bounded number of
                     # cells.
                     self.world.require_cell_size(technology.range_m)
-                self._adapters_changed(ids, name)
+                self._adapters_changed(name)
         return attached
 
     def detach(self, device_id: str, technology_name: str) -> None:
@@ -273,18 +237,15 @@ class Medium:
         """
         adapters = self._adapters
         roster = self._by_technology[technology_name]
-        listings = self._neighbors_cache
-        detached: list[str] = []
+        detached = False
         try:
             for device_id in device_ids:
-                key = (device_id, technology_name)
-                del adapters[key]
+                del adapters[(device_id, technology_name)]
                 del roster[device_id]
-                listings.pop(key, None)
-                detached.append(device_id)
+                detached = True
         finally:
             if detached:
-                self._adapters_changed(detached, technology_name)
+                self._adapters_changed(technology_name)
 
     def adapter(self, device_id: str, technology_name: str) -> Adapter | None:
         """The adapter, or ``None`` if the device lacks the technology."""
@@ -298,12 +259,7 @@ class Medium:
     def register_gateway(self, technology_name: str) -> None:
         """Declare operator infrastructure for a wide-area technology."""
         self._gateways.add(technology_name)
-        self._gateway_epoch += 1
-        self._topology_version += 1
-        # Gateway presence flips wide-area verdicts wholesale; this is
-        # a scenario-setup event, so a full drop is fine.
-        self._reachable_cache.clear()
-        self._reach_index.clear()
+        self._topology_changed()
 
     def has_gateway(self, technology_name: str) -> bool:
         """Whether the wide-area technology has infrastructure."""
@@ -314,10 +270,9 @@ class Medium:
     def reachable(self, a: str, b: str, technology_name: str) -> bool:
         """Whether ``a`` and ``b`` can communicate over the technology.
 
-        Verdicts are memoized until either endpoint moves or toggles —
-        every send, connect and discovery scan asks this, and at crowd
-        scale the same pairs repeat tens of thousands of times, so the
-        hit path is a single dict lookup.
+        Verdicts are memoized for the topology version: every send,
+        connect and discovery scan asks this, and the same pairs repeat
+        between changes, so the hit path is a single dict lookup.
         """
         key = (a, b, technology_name)
         cached = self._reachable_cache.get(key)
@@ -325,12 +280,6 @@ class Medium:
             return cached
         verdict = self._compute_reachable(a, b, technology_name)
         self._reachable_cache[key] = verdict
-        index = self._reach_index
-        for node_id in (a, b):
-            bucket = index.get(node_id)
-            if bucket is None:
-                bucket = index[node_id] = set()
-            bucket.add(key)
         return verdict
 
     def _compute_reachable(self, a: str, b: str, technology_name: str) -> bool:
@@ -383,7 +332,11 @@ class Medium:
             if row is not None:
                 starts = record.starts
                 return record.flat[starts[row]:starts[row + 1]]
-        own = self._adapters.get((device_id, technology_name))
+        key = (device_id, technology_name)
+        listing = self._neighbors_cache.get(key)
+        if listing is not None:
+            return list(listing)
+        own = self._adapters.get(key)
         if own is None or not own._enabled:
             return []
         technology = own.technology
@@ -391,8 +344,10 @@ class Medium:
         # technologies ignore geometry even when they quote a range.
         local_range = None if technology.needs_gateway else technology.range_m
         if local_range is None:
-            stamp = (self._tech_epoch.get(technology_name, 0),
-                     self._gateway_epoch)
+            listing = sorted(
+                other for other in self._by_technology.get(technology_name, ())
+                if other != device_id
+                and self.reachable(device_id, other, technology_name))
         elif device_id not in self._world_nodes:
             return []  # off-map device: nothing in radio range
         elif (self._vector_min is not None
@@ -405,26 +360,15 @@ class Medium:
             starts = record.starts
             return record.flat[starts[row]:starts[row + 1]]
         else:
-            stamp = self.world.region_stamp(device_id, local_range)
-        key = (device_id, technology_name)
-        entry = self._neighbors_cache.get(key)
-        if entry is not None and entry[1] == stamp:
-            return list(entry[0])
-        if local_range is None:
-            listing = sorted(
-                other for other in self._by_technology.get(technology_name, ())
-                if other != device_id
-                and self.reachable(device_id, other, technology_name))
-        else:
             # Grid-backed: the world already limited candidates to the
             # radio disc (sorted), so only adapter power needs checking.
             adapters = self._adapters
             listing = []
-            for node in self.world.nodes_within(device_id, technology.range_m):
+            for node in self.world.nodes_within(device_id, local_range):
                 other = adapters.get((node.node_id, technology_name))
                 if other is not None and other._enabled:
                     listing.append(node.node_id)
-        self._neighbors_cache[key] = (listing, stamp)
+        self._neighbors_cache[key] = listing
         return list(listing)
 
     def _vector_sweep(self, technology_name: str, radius: float) -> _Sweep:

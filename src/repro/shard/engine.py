@@ -9,8 +9,8 @@ A :class:`ShardSim` owns a slice of the global simulation:
   so clamping arithmetic is identical everywhere) populated with the
   shard's *owned* devices plus *ghost* replicas of border devices
   owned by other shards;
-* a private :class:`~repro.radio.medium.Medium` whose region-stamped
-  neighbour cache serves this shard's scans.
+* a private :class:`~repro.radio.medium.Medium` whose neighbour
+  listings, cached for one topology version, serve this shard's scans.
 
 Ghosts are full replicas: their mobility models advance through the
 same tick schedule and the same float arithmetic as the owner's copy,
@@ -612,8 +612,8 @@ class ShardSim:
         passes through a clean remove/insert; each is one batch per
         layer (``World.remove_nodes``/``add_nodes``,
         ``Medium.detach_all``/``attach_all``), so the world notifies
-        and the medium bumps its epochs once per batch, not once per
-        device.  A ghost already held —
+        and the medium starts a new topology version once per batch,
+        not once per device.  A ghost already held —
         every kept entry, and a snapshot from an exporter that took
         over the device — keeps its live local replica untouched: it
         is bit-identical by the exactness invariant, which

@@ -683,10 +683,9 @@ def reference_run(workload: ShardWorkload, *,
         events += len(report.moved)
 
     world.on_moves(count_moves)
-    with world.batch():
-        for state in devices:
-            world.add_node(state.device_id, state.position(), state.model)
-            medium.attach(state.device_id, technology)
+    world.add_nodes([(state.device_id, state.position(), state.model)
+                     for state in devices])
+    medium.attach_all([state.device_id for state in devices], technology)
 
     def scan(device_id: str) -> None:
         nonlocal events

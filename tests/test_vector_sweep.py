@@ -1,7 +1,7 @@
 """Vectorized medium sweeps vs the scalar path — lockstep oracle.
 
 The numpy whole-population sweep (:mod:`repro.radio.sweep`) must
-produce listings *bit-identical* to the scalar region-stamped path:
+produce listings *bit-identical* to the scalar grid-walk path:
 same neighbours, same order, across arbitrary interleavings of moves,
 adapter toggles and detaches.  The tests drive a vectorized medium and
 a scalar medium through identical operation streams and compare every
@@ -83,12 +83,11 @@ def _build(min_devices: int = VECTOR_SWEEP_MIN_DEVICES,
 
 def _populate(world: World, medium: Medium, seed: int = 3) -> None:
     rng = random.Random(seed)
-    with world.batch():
-        for node_id in NODE_IDS:
-            world.add_node(node_id, Point(rng.uniform(0, 300),
-                                          rng.uniform(0, 300)))
-            for technology in TECHNOLOGIES:
-                medium.attach(node_id, technology)
+    for node_id in NODE_IDS:
+        world.add_node(node_id, Point(rng.uniform(0, 300),
+                                      rng.uniform(0, 300)))
+        for technology in TECHNOLOGIES:
+            medium.attach(node_id, technology)
 
 
 def _listings(medium: Medium) -> dict[tuple[str, str], list[str]]:
@@ -236,11 +235,10 @@ class TestLockstep:
         for min_devices in (1, NEVER):
             world, medium = _build(min_devices,
                                    Rect(-400.0, -400.0, 400.0, 400.0))
-            with world.batch():
-                for node_id, (x, y) in zip(ids, points):
-                    world.add_node(node_id, Point(x, y))
-                    for technology in TECHNOLOGIES:
-                        medium.attach(node_id, technology)
+            for node_id, (x, y) in zip(ids, points):
+                world.add_node(node_id, Point(x, y))
+                for technology in TECHNOLOGIES:
+                    medium.attach(node_id, technology)
             assert world.grid.cell_size == WLAN.range_m
             listings.append({(node_id, technology.name):
                              medium.neighbors(node_id, technology.name)
