@@ -9,7 +9,8 @@ registered in PHD and PHD handles the service requests." (§4.2.1)
 
 Concretely the daemon here:
 
-* runs one periodic discovery loop per plugin (staggered by jitter);
+* runs one periodic discovery loop per plugin (plugins 0.05 s apart),
+  as two kernel cohort callbacks per scan;
 * merges scan results into a neighbourhood table of
   :class:`~repro.peerhood.device.NeighborDevice` records;
 * queries newly-seen devices for their registered services over a
@@ -61,7 +62,8 @@ class PeerHoodDaemon:
         self._lost_callbacks: list[Callable[[str], None]] = []
         self._services_callbacks: list[Callable[[str], None]] = []
         self._running = False
-        self._loop_processes = []
+        self._loops = [_ScanLoop(self, plugin)
+                       for plugin in self.plugins.values()]
         #: Out-of-cycle scans run after a device disappeared (flap
         #: recovery); devices being probed right now.
         self.rediscovery_probes = 0
@@ -75,28 +77,30 @@ class PeerHoodDaemon:
         #: at all times, letting a steady-state merge skip the
         #: walk over the whole neighbourhood table.
         self._seen_by_tech: dict[str, set[str]] = {}
-        #: Reused between rounds: the loop delay is identical each time.
-        self._interval_delay = Delay(scan_interval)
         stack.listen(PHD_PORT, self._accept_control)
 
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
-        """Begin the per-plugin discovery loops."""
+        """Begin the per-plugin discovery loops.
+
+        After a :meth:`stop`, a loop that has not ended yet carries on;
+        only the ended ones start again.
+        """
         if self._running:
             return
         self._running = True
-        for index, plugin in enumerate(self.plugins.values()):
-            # Stagger plugin loops slightly so scans do not align.
-            offset = 0.05 * index
-            process = self.env.spawn_at(
-                self.env.now + offset,
-                self._discovery_loop(plugin),
-                name=f"phd:{self.device_id}:{plugin.name}")
-            self._loop_processes.append(process)
+        for index, loop in enumerate(self._loops):
+            if not loop.pending:
+                # Stagger plugin loops slightly so scans do not align.
+                loop.arm(0.05 * index)
 
     def stop(self) -> None:
-        """Stop discovery; the neighbourhood table freezes."""
+        """Stop discovery; the neighbourhood table freezes.
+
+        A scan that ends while the daemon is stopped discards its
+        result and ends its loop.
+        """
         self._running = False
 
     @property
@@ -191,16 +195,6 @@ class PeerHoodDaemon:
         return connection
 
     # -- discovery internals -------------------------------------------------
-
-    def _discovery_loop(self, plugin: Plugin) -> Generator:
-        plugin_name = plugin.name
-        while self._running:
-            found = yield from plugin.discover()
-            self._merge_scan(plugin_name, set(found))
-            delay = self._interval_delay
-            if delay.seconds != self.scan_interval:
-                delay = self._interval_delay = Delay(self.scan_interval)
-            yield delay
 
     def _merge_scan(self, technology_name: str, found: set[str]) -> None:
         now = self.env.now
@@ -368,3 +362,66 @@ class PeerHoodDaemon:
             # because closing here would discard the in-flight reply.
             connection.close()
         return None
+
+
+class _ScanLoop:
+    """One plugin's periodic discovery loop, run as kernel callbacks.
+
+    Each scan is two callbacks: :meth:`begin` starts the plugin's scan
+    and :meth:`end` merges its listing and schedules the next
+    :meth:`begin` one scan interval later.  Both go through
+    ``Environment.call_in_cohort``, so the loops of a crowd whose scans
+    fall due at one instant share one kernel event, and each callback
+    fires exactly where a process resume would have.  A callback that
+    raises ends this loop only, and the run loop raises
+    ``SimulationError`` naming ``phd:<device>:<technology>``.
+    """
+
+    __slots__ = ("_daemon", "_plugin", "name", "pending", "_begin", "_end")
+
+    def __init__(self, daemon: PeerHoodDaemon, plugin: Plugin) -> None:
+        self._daemon = daemon
+        self._plugin = plugin
+        self.name = f"phd:{daemon.device_id}:{plugin.name}"
+        #: Whether a callback of this loop is scheduled.
+        self.pending = False
+        # Bound once: every scan schedules both, and a bound method
+        # made per call is one more object for the cyclic collector.
+        self._begin = self.begin
+        self._end = self.end
+
+    def arm(self, delay: float) -> None:
+        """Schedule the loop's next scan ``delay`` seconds from now."""
+        self.pending = True
+        self._daemon.env.call_in_cohort(delay, self._begin)
+
+    def begin(self) -> None:
+        """Start a scan, or end the loop if the daemon has stopped."""
+        self.pending = False
+        daemon = self._daemon
+        if not daemon._running:
+            return
+        try:
+            duration = self._plugin.begin_scan()
+            if duration is None:
+                # No live adapter: an empty scan that takes no time.
+                daemon._merge_scan(self._plugin.name, set())
+                self.arm(daemon.scan_interval)
+            else:
+                self.pending = True
+                daemon.env.call_in_cohort(duration, self._end)
+        except Exception as exc:
+            daemon.env.note_failure(self, exc)
+
+    def end(self) -> None:
+        """Merge the scan's listing; a daemon stopped since discards it."""
+        self.pending = False
+        daemon = self._daemon
+        if not daemon._running:
+            return
+        try:
+            found = self._plugin.end_scan()
+            daemon._merge_scan(self._plugin.name, set(found))
+            self.arm(daemon.scan_interval)
+        except Exception as exc:
+            daemon.env.note_failure(self, exc)

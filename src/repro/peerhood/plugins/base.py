@@ -20,8 +20,9 @@ class Plugin:
 
     A plugin binds one device to one technology and provides:
 
-    * ``discover()`` — a process generator returning the device ids
-      found by one scan, taking the technology's realistic scan time.
+    * ``begin_scan()`` and ``end_scan()`` — the two halves of one
+      discovery scan, ``scan_duration()`` apart; ``discover()`` is the
+      process generator that chains them.
     * ``connect(remote_id, port)`` — a process generator returning an
       established :class:`Connection`.
 
@@ -37,9 +38,6 @@ class Plugin:
         self.stack = stack
         self.device_id = device_id
         self.scan_count = 0
-        #: Scan delays repeat the same duration almost always; reuse
-        #: the (immutable) Delay instead of allocating one per scan.
-        self._scan_delay: Delay | None = None
 
     @property
     def name(self) -> str:
@@ -59,22 +57,35 @@ class Plugin:
         """Gateway used for relayed connections (``None`` for local radios)."""
         return None
 
+    def begin_scan(self) -> float | None:
+        """Start one discovery scan and return how long it takes.
+
+        Returns ``None``, and counts no scan, when the local adapter is
+        missing or off.
+        """
+        if not self.available():
+            return None
+        self.scan_count += 1
+        return self.scan_duration()
+
+    def end_scan(self) -> list[str]:
+        """Finish a scan: the device ids reachable over this technology.
+
+        Read at the end of the scan, because devices may move during it.
+        """
+        return self.medium.neighbors(self.device_id, self.technology.name)
+
     def discover(self) -> Generator:
         """Process generator: one discovery scan.
 
         Returns the list of device ids currently reachable over this
         plugin's technology, after the scan's virtual-time cost.
         """
-        if not self.available():
+        duration = self.begin_scan()
+        if duration is None:
             return []
-        self.scan_count += 1
-        duration = self.scan_duration()
-        delay = self._scan_delay
-        if delay is None or delay.seconds != duration:
-            delay = self._scan_delay = Delay(duration)
-        yield delay
-        # Read at the end of the scan: devices may move during it.
-        return self.medium.neighbors(self.device_id, self.technology.name)
+        yield Delay(duration)
+        return self.end_scan()
 
     def connect(self, remote_id: str, port: str) -> Generator:
         """Process generator: connect to ``port`` on ``remote_id``.

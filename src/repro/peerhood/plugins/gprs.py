@@ -8,14 +8,12 @@ billed) by the :class:`~repro.radio.gprs.GprsGateway`.
 
 from __future__ import annotations
 
-from collections.abc import Generator
-
 from repro.net.stack import NetworkStack
 from repro.radio.gprs import GprsGateway
 from repro.radio.medium import Medium
 from repro.radio.standards import GPRS
 from repro.peerhood.plugins.base import Plugin
-from repro.simenv import Delay, Environment
+from repro.simenv import Environment
 
 
 class GPRSPlugin(Plugin):
@@ -33,12 +31,8 @@ class GPRSPlugin(Plugin):
         """The operator gateway relaying this plugin's traffic."""
         return self._gateway
 
-    def discover(self) -> Generator:
+    def end_scan(self) -> list[str]:
         """Query the proxy's registry instead of scanning the air."""
-        if not self.available():
-            return []
-        self.scan_count += 1
-        yield Delay(self.technology.discovery_time_s)
         visible = self._gateway.lookup(self.device_id)
         # The medium still arbitrates (adapters may be disabled).
         return [device_id for device_id in visible

@@ -9,7 +9,11 @@ The design is a deliberately small, explicit simpy-like kernel:
 * :class:`~repro.simenv.environment.Environment` owns the clock, the
   event queue and the root random seed.
 * Plain callbacks are scheduled with ``env.call_at`` / ``env.call_in``.
-* Long-running behaviours (discovery loops, mobility, servers) are
+  ``env.call_in_cohort`` schedules one that shares a single kernel
+  event with the other cohort callbacks due at the same time, and
+  fires exactly where ``call_in`` would have (PeerHood's discovery
+  loops run this way).
+* Long-running behaviours (mobility, servers, connections) are
   generator *processes* started with ``env.spawn`` that ``yield``
   :class:`~repro.simenv.process.Delay`,
   :class:`~repro.simenv.process.WaitSignal` or another process.

@@ -6,7 +6,10 @@ fire earlier.  Determinism matters because the MSC reproduction tests
 assert exact message orders.
 
 The queue is one binary heap of bare ``(time, sequence, event)``
-tuples, so ordering uses CPython's C-level tuple comparison.
+tuples, so ordering uses CPython's C-level tuple comparison.  A
+sequence number can be taken without queueing anything and filled
+later (``take_sequence``, ``push_slot``), which is how a cohort of
+callbacks keeps each member's place while one entry stands for them.
 Cancellation is lazy: a cancelled event stays in the heap, costing
 what a live one would, and is dropped when it reaches the top.  Every
 push builds a new :class:`Event` and nothing is recycled, so a handle
@@ -86,6 +89,23 @@ class EventQueue:
         self._live += 1
         heappush(self._heap, (time, sequence, event))
         return event
+
+    def take_sequence(self) -> int:
+        """Take the next sequence number without queueing anything."""
+        sequence = self._sequence
+        self._sequence = sequence + 1
+        return sequence
+
+    def push_slot(self, time: float, sequence: int,
+                  callback: Callable[[], Any]) -> None:
+        """Queue ``callback`` at ``time`` in a slot taken earlier.
+
+        ``sequence`` comes from :meth:`take_sequence`; no two live
+        entries may share it.
+        """
+        self._live += 1
+        heappush(self._heap, (time, sequence,
+                              Event(time, sequence, callback, self)))
 
     def pop(self) -> Event:
         """Remove and return the earliest non-cancelled event.

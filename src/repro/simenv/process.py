@@ -225,7 +225,7 @@ class Process:
         self._generator.close()
         if exception is not None and (self._done is None
                                       or not self._done._waiters):
-            self._env._note_failure(self, exception)
+            self._env.note_failure(self, exception)
         if self._done is not None:
             self._done.fire(result)
 

@@ -193,7 +193,7 @@ def chaos_figures(members: int = 5, ops: int = 48) -> dict:
 
 def test_crowd_discovery_64_members():
     assert crowd_figures() == {
-        "events": 4_502,
+        "events": 2_583,
         "probes": 248,
         "groups": ("7d806e2e96354392d1156cb45a1e56c3"
                    "d16b58aa8faee51032d84f83491a7e0b"),
@@ -233,7 +233,7 @@ def test_conformance_sim_transcripts():
 
 def test_ps_chaos_loop():
     assert chaos_figures() == {
-        "events": 1_854,
+        "events": 1_710,
         "retries": 128,
         "timeouts": 35,
         "injected": {"connect_failures": 13, "drops": 72, "corruptions": 13,

@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from repro.eval.testbed import Testbed
+from repro.eval.workloads import crowd_bounds, populate_crowd
 from repro.mobility import LinearCrossing, Point
 from repro.peerhood import (
     PHD_PORT,
@@ -16,6 +17,7 @@ from repro.peerhood import (
 )
 from repro.radio.bluetooth import PiconetFullError
 from repro.radio.medium import NotReachableError
+from repro.simenv import Environment, SimulationError
 
 
 @pytest.fixture
@@ -306,4 +308,90 @@ class TestSeamlessConnectivity:
         connection.close()
         bed.run(5.0)
         assert manager.supervised_count == 0
+        bed.stop()
+
+
+def _crowd_outcome(members: int = 64, seconds: float = 30.0) -> dict:
+    """Everything discovery leaves behind in the golden crowd run."""
+    bed = Testbed(seed=11, bounds=crowd_bounds(members), scan_interval=1.0)
+    crowd = populate_crowd(bed, members, shared_interest="music")
+    bed.run(seconds)
+    daemons = {device_id: handle.daemon
+               for device_id, handle in bed.devices.items()}
+    outcome = {
+        "tables": {device_id: [(n.device_id, sorted(n.technologies),
+                                n.last_seen, n.services_fresh)
+                               for n in daemon.device_listing()]
+                   for device_id, daemon in daemons.items()},
+        "scans": {device_id: ({name: plugin.scan_count
+                               for name, plugin in daemon.plugins.items()},
+                              daemon.rediscovery_probes)
+                  for device_id, daemon in daemons.items()},
+        "probe_logs": [member.app.engine.probe_log for member in crowd],
+        "groups": [member.app.group_members("music") for member in crowd],
+        "positions": [(node.node_id, node.position.x, node.position.y)
+                      for node in bed.world],
+        "events": bed.env.events_processed,
+    }
+    bed.stop()
+    return outcome
+
+
+class TestDiscoveryLoops:
+    """The daemon's scan loops, run as kernel cohort callbacks."""
+
+    def test_cohorts_change_only_the_event_count(self, monkeypatch):
+        cohorts = _crowd_outcome()
+        # Every cohort call a plain event: the kernel before cohorts.
+        monkeypatch.setattr(Environment, "call_in_cohort",
+                            Environment.call_in)
+        plain = _crowd_outcome()
+        assert cohorts["events"] < plain["events"]
+        del cohorts["events"], plain["events"]
+        assert cohorts == plain
+
+    def test_failing_scan_ends_only_its_own_loop(self):
+        bed = Testbed(seed=3, technologies=("wlan",), scan_interval=5.0)
+        for index, name in enumerate("abc"):
+            bed.add_device(name, position=Point(100 + 3 * index, 100))
+
+        def explode(device_id):
+            raise RuntimeError(f"found {device_id}")
+
+        bed.devices["b"].daemon.on_device_found(explode)
+        with pytest.raises(SimulationError,
+                           match=r"process 'phd:b:wlan' failed at t=1\.000000"):
+            bed.run(10.0)
+        bed.run(20.0)
+        assert [bed.devices[name].daemon.plugins["wlan"].scan_count
+                for name in "abc"] == [4, 1, 4]
+        bed.stop()
+
+    def test_restart_keeps_one_loop(self):
+        bed = Testbed(seed=3, technologies=("wlan",), scan_interval=5.0)
+        a = bed.add_device("a", position=Point(100, 100))
+        b = bed.add_device("b", position=Point(103, 100))
+        bed.run(12.0)  # a's scan at 12.0 s is in flight
+        a.daemon.stop()
+        bed.run(0.5)
+        a.daemon.start()
+        scans = [a.daemon.plugins["wlan"].scan_count,
+                 b.daemon.plugins["wlan"].scan_count]
+        bed.run(60.0)
+        assert (a.daemon.plugins["wlan"].scan_count - scans[0]
+                == b.daemon.plugins["wlan"].scan_count - scans[1] == 10)
+        bed.stop()
+
+    def test_stop_during_a_scan_freezes_the_table(self):
+        bed = Testbed(seed=3, technologies=("wlan",), scan_interval=5.0)
+        a = bed.add_device("a", position=Point(100, 100))
+        bed.add_device("b", position=Point(103, 100))
+        bed.run(12.5)  # a's scan runs from 12.0 s to 13.0 s
+        a.daemon.stop()
+        bed.world.move_node("b", Point(190, 190))
+        bed.run(0.6)
+        assert a.daemon.knows("b")
+        a.daemon.start()  # the loop ended with the scan: it starts again
+        bed.run(1.1)
+        assert not a.daemon.knows("b")
         bed.stop()

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.simenv import Environment, EventQueue, Signal, SimClock, SimulationError
@@ -136,6 +138,16 @@ class TestEventQueueEdges:
         popped.cancel()  # late cancel of a fired event: no accounting
         assert len(queue) == 1
         assert queue.pop().time == 2.0
+
+    def test_taken_slot_orders_by_its_own_sequence(self):
+        queue = EventQueue()
+        fired = []
+        early = queue.take_sequence()
+        queue.push(1.0, lambda: fired.append("pushed"))
+        queue.push_slot(1.0, early, lambda: fired.append("slot"))
+        while queue:
+            queue.pop().callback()
+        assert fired == ["slot", "pushed"]
 
     def test_held_handles_are_never_recycled(self, env: Environment):
         held = env.call_in(0.5, lambda: None)
@@ -315,3 +327,131 @@ class TestEnvironment:
 
     def test_repr(self, env: Environment):
         assert "Environment" in repr(env)
+
+
+class _Boom(Exception):
+    """A callback's own exception, which propagates out of ``run``."""
+
+
+def _failing_process():
+    yield from ()
+    raise RuntimeError("boom")
+
+
+def _play(program, cohort_call) -> list:
+    """Fire ``program`` and log what happens, in order.
+
+    Node ``i`` is ``(parent, kind, delay, action)``.  It is scheduled
+    before the first run when ``parent`` names no earlier node, and by
+    its parent's callback otherwise, with ``call_in`` for ``"plain"``
+    and ``cohort_call(env, delay, callback)`` for ``"cohort"``: either
+    ``Environment.call_in_cohort`` or, as the stand-in for the kernel
+    before cohorts, ``Environment.call_in``.  Its callback logs ``(i,
+    env.now)``, does its action and schedules its children.  Runs
+    repeat, each with a fresh stop signal, until the queue is empty;
+    each ends with a ``returned`` or a raised entry.
+    """
+    env = Environment()
+    children: list[list[int]] = [[] for _ in program]
+    for index, (parent, *_) in enumerate(program):
+        if 0 <= parent < index:
+            children[parent].append(index)
+    log: list = []
+    plain: list = []
+    stops: list[Signal] = []
+
+    def schedule(index: int) -> None:
+        _, kind, delay, _ = program[index]
+        if kind == "plain":
+            plain.append(env.call_in(delay, fire, index))
+        else:
+            cohort_call(env, delay, partial(fire, index))
+
+    def fire(index: int) -> None:
+        log.append((index, env.now))
+        action = program[index][3]
+        if action == "stop" and not stops[-1].fired:
+            stops[-1].fire()
+        elif action == "fail":
+            env.spawn(_failing_process(), name=f"fail{index}")
+        elif action == "raise":
+            raise _Boom(index)
+        elif action == "cancel" and plain:
+            plain[-1].cancel()
+        for child in children[index]:
+            schedule(child)
+
+    for index, (parent, *_) in enumerate(program):
+        if not 0 <= parent < index:
+            schedule(index)
+    while env.queue:
+        stops.append(Signal("stop"))
+        try:
+            env.run(stop=stops[-1])
+            log.append(("returned", env.now))
+        except SimulationError as exc:
+            log.append(("failed", str(exc)))
+        except _Boom as exc:
+            log.append(("raised", exc.args[0]))
+    return log
+
+
+_programs = st.lists(
+    st.tuples(st.integers(-1, 24),
+              st.sampled_from(["plain", "cohort", "cohort"]),
+              st.sampled_from([0.0, 0.5, 1.0]),
+              st.sampled_from([None, None, None, None,
+                               "stop", "fail", "raise", "cancel"])),
+    min_size=1, max_size=25)
+
+
+class TestCohorts:
+    """A cohort call fires exactly where a plain ``call_in`` would."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(program=_programs)
+    # A plain event scheduled between two members fires between them.
+    @example(program=[(-1, "cohort", 1.0, None), (-1, "plain", 1.0, None),
+                      (-1, "cohort", 1.0, None)])
+    # A member that fires the run's stop signal ends the run.
+    @example(program=[(-1, "cohort", 1.0, "stop"), (-1, "cohort", 1.0, None)])
+    # A process failure raises before the next member fires.
+    @example(program=[(-1, "cohort", 1.0, "fail"), (-1, "cohort", 1.0, None)])
+    # A callback that raises leaves the rest of its cohort queued.
+    @example(program=[(-1, "cohort", 1.0, "raise"), (-1, "cohort", 1.0, None)])
+    # A cancelled event between two members is skipped.
+    @example(program=[(-1, "plain", 0.5, None), (-1, "cohort", 1.0, "cancel"),
+                      (-1, "plain", 1.0, None), (-1, "cohort", 1.0, None)])
+    # A member due at the firing cohort's own time starts a new cohort.
+    @example(program=[(-1, "cohort", 1.0, None), (0, "cohort", 0.0, None),
+                      (-1, "cohort", 1.0, None), (1, "plain", 0.0, None)])
+    def test_fires_in_plain_call_order(self, program):
+        assert (_play(program, Environment.call_in_cohort)
+                == _play(program, Environment.call_in))
+
+    def test_members_due_together_are_one_event(self, env: Environment):
+        fired = []
+        for label in "abc":
+            env.call_in_cohort(1.0, partial(fired.append, label))
+        env.call_in_cohort(2.0, partial(fired.append, "d"))
+        env.run()
+        assert fired == ["a", "b", "c", "d"]
+        assert env.events_processed == 2
+
+    def test_step_fires_one_part(self, env: Environment):
+        fired = []
+        env.call_in_cohort(1.0, partial(fired.append, "a"))
+        env.call_in_cohort(1.0, partial(fired.append, "b"))
+        env.call_in(1.0, fired.append, "plain")
+        env.call_in_cohort(1.0, partial(fired.append, "c"))
+        assert env.step()
+        assert fired == ["a", "b"]
+        assert env.step()
+        assert fired == ["a", "b", "plain"]
+        assert env.step()
+        assert fired == ["a", "b", "plain", "c"]
+        assert not env.step()
+
+    def test_negative_delay_rejected(self, env: Environment):
+        with pytest.raises(ValueError):
+            env.call_in_cohort(-0.5, lambda: None)
