@@ -50,6 +50,8 @@ class AccessControlledDoor:
         self.env = library.daemon.env
         self.is_open = False
         self.log: list[AccessLogEntry] = []
+        # Bound once: every inbound half holds it.
+        self._answer_bound = self._answer
         library.register_service(SERVICE_NAME, {"resource": resource},
                                  self._accept)
 
@@ -66,24 +68,26 @@ class AccessControlledDoor:
     # -- request handling -----------------------------------------------------
 
     def _accept(self, connection: Connection) -> None:
-        self.env.spawn(self._serve(connection),
-                       name=f"door:{self.library.device_id}")
+        connection.on_payload = self._answer_bound
 
-    def _serve(self, connection: Connection) -> Generator:
-        request = yield connection.recv()
+    def _answer(self, connection: Connection, request: object) -> None:
+        """Answer the link's one unlock request in its delivery event."""
+        connection.on_payload = None
         if not isinstance(request, dict) or request.get("op") != "unlock":
-            return None
-        requester = connection.remote_id
-        granted, reason = self._decide(requester)
-        self.log.append(AccessLogEntry(self.env.now, requester, granted,
-                                       reason))
-        if granted:
-            self.is_open = True
-            self.env.call_in(self.hold_open_s, self._relock)
-        with contextlib.suppress(ConnectionError, OSError):
-            connection.send({"granted": granted, "reason": reason,
-                             "resource": self.resource})
-        return None
+            return
+        try:
+            requester = connection.remote_id
+            granted, reason = self._decide(requester)
+            self.log.append(AccessLogEntry(self.env.now, requester, granted,
+                                           reason))
+            if granted:
+                self.is_open = True
+                self.env.call_in(self.hold_open_s, self._relock)
+            with contextlib.suppress(ConnectionError, OSError):
+                connection.send({"granted": granted, "reason": reason,
+                                 "resource": self.resource})
+        except Exception as exc:
+            connection.answer_failed(f"door:{self.library.device_id}", exc)
 
     def _decide(self, requester: str) -> tuple[bool, str]:
         if requester not in self.authorized:

@@ -73,20 +73,23 @@ class FitnessDevice:
         self.equipment = equipment
         self.env = library.daemon.env
         self.batches_analysed = 0
+        # Bound once: every inbound half holds it.
+        self._answer_bound = self._answer
         library.register_service(SERVICE_NAME, {"equipment": equipment},
                                  self._accept)
 
     def _accept(self, connection: Connection) -> None:
-        self.env.spawn(self._serve(connection),
-                       name=f"fitness:{self.equipment}")
+        connection.on_payload = self._answer_bound
 
-    def _serve(self, connection: Connection) -> Generator:
-        while not connection.closed:
-            request = yield connection.recv()
-            if request is None:
-                return None
-            if not isinstance(request, dict) or request.get("op") != "batch":
-                continue
+    def _answer(self, connection: Connection, request: object) -> None:
+        """Analyse one batch in its delivery event; the half keeps
+        answering until a reply cannot be sent."""
+        if request is None:  # every receiver reads None as link loss
+            connection.on_payload = None
+            return
+        if not isinstance(request, dict) or request.get("op") != "batch":
+            return
+        try:
             samples = [float(value) for value in request.get("samples", [])]
             if not samples:
                 reply = {"ok": False, "error": "empty batch"}
@@ -104,8 +107,9 @@ class FitnessDevice:
             try:
                 connection.send(reply)
             except (ConnectionError, OSError):
-                return None
-        return None
+                connection.on_payload = None
+        except Exception as exc:
+            connection.answer_failed(f"fitness:{self.equipment}", exc)
 
 
 class FitnessTracker:

@@ -65,37 +65,41 @@ class GuidancePoint:
         self.place = place
         self.env = library.daemon.env
         self.queries_served = 0
+        # Bound once: every inbound half holds it.
+        self._answer_bound = self._answer
         library.register_service(SERVICE_NAME, {"place": place},
                                  self._accept)
 
     def _accept(self, connection: Connection) -> None:
-        self.env.spawn(self._serve(connection),
-                       name=f"guidance:{self.place}")
+        connection.on_payload = self._answer_bound
 
-    def _serve(self, connection: Connection) -> Generator:
-        request = yield connection.recv()
+    def _answer(self, connection: Connection, request: object) -> None:
+        """Answer the link's one route query in its delivery event."""
+        connection.on_payload = None
         if not isinstance(request, dict) or request.get("op") != "route":
-            return None
-        destination = request.get("destination", "")
+            return
         try:
-            path = self.router.route(self.place, destination)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            reply = {"ok": False, "error": f"no route to {destination!r}"}
-        else:
-            next_place = path[1] if len(path) > 1 else self.place
-            reply = {
-                "ok": True,
-                "here": self.place,
-                "destination": destination,
-                "next": next_place,
-                "path": path,
-                "next_position": [self.router.position_of(next_place).x,
-                                  self.router.position_of(next_place).y],
-            }
-            self.queries_served += 1
-        with contextlib.suppress(ConnectionError, OSError):
-            connection.send(reply)
-        return None
+            destination = request.get("destination", "")
+            try:
+                path = self.router.route(self.place, destination)
+            except (nx.NetworkXNoPath, nx.NodeNotFound):
+                reply = {"ok": False, "error": f"no route to {destination!r}"}
+            else:
+                next_place = path[1] if len(path) > 1 else self.place
+                reply = {
+                    "ok": True,
+                    "here": self.place,
+                    "destination": destination,
+                    "next": next_place,
+                    "path": path,
+                    "next_position": [self.router.position_of(next_place).x,
+                                      self.router.position_of(next_place).y],
+                }
+                self.queries_served += 1
+            with contextlib.suppress(ConnectionError, OSError):
+                connection.send(reply)
+        except Exception as exc:
+            connection.answer_failed(f"guidance:{self.place}", exc)
 
 
 class Traveler:

@@ -7,17 +7,18 @@ in the listening state for any request from the remote clients."
 
 The request/response core is transport-free: :class:`CommunityService`
 maps one request payload to one response payload (the Table 6
-dispatch), and any backend can pump it — the simulated
-:class:`CommunityServer` below registers it with the PeerHood daemon
-and loops over a simulated connection, while :class:`repro.net.tcp.TcpServer`
-drives the same ``handle_request`` over real sockets.  Keeping the core
-identical on both paths is what makes the conformance suite's
-byte-identical-transcript assertion meaningful.
+dispatch), and any backend calls it once per request frame — the
+simulated :class:`CommunityServer` below registers it with the PeerHood
+daemon and answers each request in its delivery event, while
+:class:`repro.net.tcp.TcpServer` drives the same ``handle_request``
+over real sockets.  Keeping the core identical on both paths is what
+makes the conformance suite's byte-identical-transcript assertion
+meaningful.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Generator
+from collections.abc import Callable
 from typing import Any
 
 from repro.community import protocol
@@ -297,7 +298,8 @@ class CommunityService:
 
 class CommunityServer(CommunityService):
     """The simulated-backend server: :class:`CommunityService` wired to
-    the PeerHood daemon and pumped over simulated connections.
+    the PeerHood daemon, answering each request on a simulated
+    connection in the event that delivers it.
 
     Args:
         library: PeerHood library of the local device.
@@ -314,6 +316,8 @@ class CommunityServer(CommunityService):
         self.library = library
         self.env = library.daemon.env
         self._started = False
+        # Bound once: every inbound half holds it.
+        self._answer_bound = self._answer
 
     def now(self) -> float:
         """Simulated seconds; feeds profile-state writes and traces."""
@@ -338,20 +342,23 @@ class CommunityServer(CommunityService):
     # -- connection handling ------------------------------------------------
 
     def _accept(self, connection: Connection) -> None:
-        self.env.spawn(self._serve(connection),
-                       name=f"phc-server:{self.device_id}<-{connection.remote_id}")
+        connection.on_payload = self._answer_bound
 
-    def _serve(self, connection: Connection) -> Generator:
-        while not connection.closed:
-            payload = yield connection.recv()
-            if payload is None:  # connection torn down under us
-                return None
+    def _answer(self, connection: Connection, payload: Any) -> None:
+        """Answer one request in its delivery event; the half keeps
+        answering until a reply cannot be sent."""
+        if payload is None:  # every receiver reads None as link loss
+            connection.on_payload = None
+            return
+        try:
             response = self.handle_request(payload, connection.remote_id)
             try:
                 connection.send(response)
             except (ConnectionError, OSError):
                 # The client's retry loop re-sends on a fresh
                 # connection; the dead one is already deregistered.
+                connection.on_payload = None
                 self.send_failures += 1
-                return None
-        return None
+        except Exception as exc:
+            connection.answer_failed(
+                f"phc-server:{self.device_id}<-{connection.remote_id}", exc)

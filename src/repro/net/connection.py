@@ -13,7 +13,9 @@ what PeerHood's seamless-connectivity logic reacts to.
 A crowd holds thousands of pooled links that sit open and idle, so a
 half costs what it carries: the inbox is created by the first payload
 that finds no receiver waiting and dropped once drained, and a closed
-pair unlinks itself so reference counting frees it (DESIGN §10).
+pair unlinks itself so reference counting frees it (DESIGN §10).  A
+server half answers in the delivery event itself: its ``on_payload``
+handler takes each payload, so no process is parked on its receive.
 """
 
 from __future__ import annotations
@@ -36,16 +38,29 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["Connection", "ConnectionClosedError"]
 
 
+class _Answerer:
+    """The name a failed ``on_payload`` handler is reported under."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+
 class Connection:
     """One endpoint of a simulated duplex link.
 
     ``on_close(half)`` runs once, when this half closes, whichever half
     initiated the close; the BT plugin releases its piconet slot there.
+    ``on_payload(half, payload)``, when set, takes every inbound payload
+    in its delivery event instead of ``recv``: servers that answer
+    without waiting on simulated time set it to a method bound once, so
+    an idle link holds no object made for it (DESIGN §10).
     """
 
     __slots__ = ("env", "medium", "local_id", "remote_id", "technology",
-                 "gateway", "peer", "owner", "on_close", "closed",
-                 "bytes_sent", "messages_sent", "retransmissions",
+                 "gateway", "peer", "owner", "on_close", "on_payload",
+                 "closed", "bytes_sent", "messages_sent", "retransmissions",
                  "_busy_until", "_inbox", "_recv_waiters")
 
     def __init__(self, env: Environment, medium: Medium,
@@ -60,6 +75,7 @@ class Connection:
         self.peer: Connection | None = None  # wired by NetworkStack
         self.owner: NetworkStack | None = None  # wired by NetworkStack
         self.on_close: Callable[[Connection], None] | None = None
+        self.on_payload: Callable[[Connection, Any], None] | None = None
         self.closed = False
         self.bytes_sent = 0
         self.messages_sent = 0
@@ -184,6 +200,17 @@ class Connection:
         inbox = self._inbox
         return 0 if inbox is None else len(inbox)
 
+    def answer_failed(self, name: str, exception: Exception) -> None:
+        """Stop answering after ``on_payload`` raised ``exception``.
+
+        The half stays open and queues later payloads unread, and
+        :meth:`Environment.run` raises ``SimulationError`` naming
+        ``name`` once the delivery event is done, as it would for a
+        failed serving process of that name.
+        """
+        self.on_payload = None
+        self.env.note_failure(_Answerer(name), exception)
+
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
@@ -224,7 +251,10 @@ class Connection:
     def _deliver(self, payload: Any) -> None:
         if self.closed:
             return
-        if self._recv_waiters:
+        on_payload = self.on_payload
+        if on_payload is not None:
+            on_payload(self, payload)
+        elif self._recv_waiters:
             self._recv_waiters.pop(0).fire(payload)
         elif self._inbox is None:
             self._inbox = deque((payload,))

@@ -126,10 +126,11 @@ class NetworkStack:
         """Close every open connection to ``remote_id``.
 
         Called when discovery loses a device: closing the halves wakes
-        any process blocked in ``recv`` (it resumes with ``None``) and
-        removes the registry entries, so an abrupt disconnect cannot
-        leak serving processes or connection state.  Returns the number
-        of connections closed.
+        any process blocked in ``recv`` (it resumes with ``None``),
+        makes server halves ignore later deliveries and removes the
+        registry entries, so an abrupt disconnect cannot leak waiting
+        processes or connection state.  Returns the number of
+        connections closed.
         """
         stale = self.open_connections(remote_id)
         for connection in stale:

@@ -77,6 +77,8 @@ class PeerHoodDaemon:
         #: at all times, letting a steady-state merge skip the
         #: walk over the whole neighbourhood table.
         self._seen_by_tech: dict[str, set[str]] = {}
+        # Bound once: every inbound control half holds it.
+        self._answer_control_bound = self._answer_control
         stack.listen(PHD_PORT, self._accept_control)
 
     # -- lifecycle ----------------------------------------------------------
@@ -331,37 +333,38 @@ class PeerHoodDaemon:
         return neighbor.services
 
     def _accept_control(self, connection: Connection) -> None:
-        self.env.spawn(self._serve_control(connection),
-                       name=f"phd:{self.device_id}:ctl")
+        connection.on_payload = self._answer_control_bound
 
-    def _serve_control(self, connection: Connection) -> Generator:
+    def _answer_control(self, connection: Connection, request: object) -> None:
+        """Answer a peer daemon's one control request in its delivery
+        event; later payloads on the link queue unread."""
+        connection.on_payload = None
         try:
-            request = yield connection.recv()
-        except (ConnectionError, OSError):
-            return None
-        replied = False
-        operation = request.get("op") if isinstance(request, dict) else None
-        if operation == "get_services":
-            services = [{"name": info.name,
-                         "attributes": [list(pair) for pair in info.attributes]}
-                        for info in self.local_services.values()]
-            with contextlib.suppress(ConnectionError, OSError):
-                connection.send({"services": services})
-                replied = True
-        elif operation == "get_neighbors":
-            # Share our current neighbourhood table — the primitive
-            # gossip-based overlay expansion builds on (repro.adhoc).
-            with contextlib.suppress(ConnectionError, OSError):
-                connection.send({"neighbors": sorted(self.neighbors)})
-                replied = True
-        if not replied:
-            # A request we could not answer (malformed — e.g. corrupted
-            # in flight — or the reply send failed) must not leave the
-            # peer blocked on recv: closing wakes it with ``None`` so
-            # its retry logic runs.  On success the *requester* closes,
-            # because closing here would discard the in-flight reply.
-            connection.close()
-        return None
+            replied = False
+            operation = request.get("op") if isinstance(request, dict) else None
+            if operation == "get_services":
+                services = [{"name": info.name,
+                             "attributes": [list(pair) for pair in info.attributes]}
+                            for info in self.local_services.values()]
+                with contextlib.suppress(ConnectionError, OSError):
+                    connection.send({"services": services})
+                    replied = True
+            elif operation == "get_neighbors":
+                # Share our current neighbourhood table — the primitive
+                # gossip-based overlay expansion builds on (repro.adhoc).
+                with contextlib.suppress(ConnectionError, OSError):
+                    connection.send({"neighbors": sorted(self.neighbors)})
+                    replied = True
+            if not replied:
+                # A request we could not answer (malformed — e.g.
+                # corrupted in flight — or the reply send failed) must
+                # not leave the peer blocked on recv: closing wakes it
+                # with ``None`` so its retry logic runs.  On success the
+                # *requester* closes, because closing here would
+                # discard the in-flight reply.
+                connection.close()
+        except Exception as exc:
+            connection.answer_failed(f"phd:{self.device_id}:ctl", exc)
 
 
 class _ScanLoop:

@@ -13,10 +13,11 @@ The design is a deliberately small, explicit simpy-like kernel:
   event with the other cohort callbacks due at the same time, and
   fires exactly where ``call_in`` would have (PeerHood's discovery
   loops run this way).
-* Long-running behaviours (mobility, servers, connections) are
-  generator *processes* started with ``env.spawn`` that ``yield``
-  :class:`~repro.simenv.process.Delay`,
+* Behaviours that wait on virtual time (client operations, probes,
+  relays) are generator *processes* started with ``env.spawn`` that
+  ``yield`` :class:`~repro.simenv.process.Delay`,
   :class:`~repro.simenv.process.WaitSignal` or another process.
+  Servers answer in the event that delivers each request instead.
 
 All time values are floats in **seconds** of virtual time.
 """

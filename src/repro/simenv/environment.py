@@ -174,18 +174,6 @@ class Environment:
         process._start()
         return process
 
-    def spawn_at(self, when: float, generator: Generator, name: str = "") -> Process:
-        """Create a process whose first step runs at virtual time ``when``."""
-        process = Process(self, generator, name=name)
-        self.call_at(when, process._start)
-        return process
-
-    def timeout_signal(self, delay: float, value: Any = None, name: str = "") -> Signal:
-        """Return a signal that fires with ``value`` after ``delay`` seconds."""
-        signal = Signal(name or f"timeout@{self.now + delay:.3f}")
-        self.call_in(delay, signal.fire, value)
-        return signal
-
     # -- running ---------------------------------------------------------
 
     def run(self, until: float | None = None,

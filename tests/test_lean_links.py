@@ -14,18 +14,24 @@ import tracemalloc
 
 import pytest
 
+from repro.community import protocol
 from repro.community.connections import BLUETOOTH_POOL_CAP
+from repro.community.profile import ProfileStore
+from repro.community.server import SERVICE_NAME, CommunityServer
 from repro.eval.testbed import Testbed
 from repro.mobility import Point
 from repro.net import Connection
-from repro.peerhood.daemon import PHD_PORT
+from repro.peerhood.daemon import PHD_PORT, PeerHoodDaemon
+from repro.peerhood.library import PeerHoodLibrary
 from repro.radio import BLUETOOTH
 
-#: Bytes one idle pooled link may hold: both halves and the server
-#: process parked on its receive.  Two empty deques per half and the
-#: halves' instance dicts came to about 3.9 KB a link; today it is
-#: about 0.8 KB.
-IDLE_LINK_BYTES = 1536
+#: Bytes one idle pooled link may hold: its two halves, since the
+#: server half answers through a method its server bound once and no
+#: process waits on its receive.  Two empty deques per half and the
+#: halves' instance dicts came to about 3.9 KB a link, the halves and
+#: a parked server process to about 1.0-1.1 KB; today it is about
+#: 0.45 KB on CPython 3.10-3.12.
+IDLE_LINK_BYTES = 768
 
 
 def _neighbourhood(peers: int, *, seed: int = 5) -> tuple[Testbed, object]:
@@ -58,7 +64,7 @@ class TestIdleLinkCost:
         try:
             for index in range(peers):
                 bed.execute(pool.ensure(f"p{index}"))
-            bed.run(1.0)  # every server parks in its receive
+            bed.run(1.0)  # the links sit idle
             gc.collect()
             opened = tracemalloc.get_traced_memory()[0]
             for index in range(peers):
@@ -154,20 +160,22 @@ class TestPiconetSlots:
         bed.stop()
 
 
-def _pair(env, linked_pair) -> tuple[Connection, Connection]:
-    """One link a -> b, opened in a process; returns both halves."""
+def _pair(env, linked_pair, port: str = "svc") -> tuple[Connection, Connection]:
+    """One link a -> b on ``port``, opened in a process; returns both
+    halves.  ``svc`` gets a bare listener, which leaves the server half
+    alone; another port needs its own listener on b."""
     stack_a, stack_b = linked_pair
-    accepted: list[Connection] = []
-    stack_b.unlisten("svc")
-    stack_b.listen("svc", accepted.append)
+    if port == "svc":
+        stack_b.unlisten("svc")
+        stack_b.listen("svc", lambda half: None)
 
     def client():
-        connection = yield from stack_a.connect("b", "svc", BLUETOOTH)
+        connection = yield from stack_a.connect("b", port, BLUETOOTH)
         return connection
 
     process = env.spawn(client())
     env.run(until=env.now + 30.0)
-    return process.result, accepted.pop()
+    return process.result, process.result.peer
 
 
 def _wait(connection: Connection, woken: list, label: object) -> None:
@@ -239,22 +247,35 @@ class TestReceiveOrder:
 
 
 class TestClosedPairIsFreedByRefcount:
-    def test_no_connection_left_for_the_collector(self, env, linked_pair):
-        client, server = _pair(env, linked_pair)
-        client.send({"n": 1})
-        env.run(until=env.now + 1.0)
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            gc.collect()  # free what earlier code left, for real
-            gc.set_debug(gc.DEBUG_SAVEALL)
-            client.close()
-            del client, server
-            gc.collect()
-            left = [obj for obj in gc.garbage if isinstance(obj, Connection)]
-        finally:
-            gc.set_debug(0)
-            gc.garbage.clear()
-            if enabled:
-                gc.enable()
-        assert left == []
+    def test_no_connection_left_for_the_collector(self, env, linked_pair,
+                                                  medium):
+        # Device b also runs a daemon (the control port) and a
+        # community server, whose halves answer through a handler.
+        daemon = PeerHoodDaemon(env, medium, linked_pair[1], "b", [])
+        CommunityServer(PeerHoodLibrary(daemon), ProfileStore()).start()
+        for port, payload in (
+                ("svc", {"n": 1}),
+                (SERVICE_NAME,
+                 protocol.make_request(protocol.PS_GETONLINEMEMBERLIST)),
+                (PHD_PORT, {"op": "get_services"})):
+            client, server = _pair(env, linked_pair, port)
+            client.send(payload)
+            env.run(until=env.now + 1.0)
+            # A server half answered: its reply is in.
+            assert port == "svc" or client.pending() == 1, port
+            enabled = gc.isenabled()
+            gc.disable()
+            try:
+                gc.collect()  # free what earlier code left, for real
+                gc.set_debug(gc.DEBUG_SAVEALL)
+                client.close()
+                del client, server
+                gc.collect()
+                left = [obj for obj in gc.garbage
+                        if isinstance(obj, Connection)]
+            finally:
+                gc.set_debug(0)
+                gc.garbage.clear()
+                if enabled:
+                    gc.enable()
+            assert left == [], port

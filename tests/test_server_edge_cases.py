@@ -13,6 +13,8 @@ from repro.community.profile import ProfileStore
 from repro.community.server import CommunityServer, CommunityService
 from repro.eval.testbed import Testbed
 from repro.mobility import Point
+from repro.peerhood.daemon import PHD_PORT
+from repro.simenv import SimulationError
 
 
 @pytest.fixture
@@ -118,6 +120,76 @@ class TestServerRobustness:
 
         with pytest.raises(ConnectionError):
             bed.execute(run())
+
+
+class TestAnswerFailure:
+    """A server half whose handler raises stops answering, and the run
+    reports it under the name of the serving process it replaced."""
+
+    @staticmethod
+    def _pair() -> tuple[Testbed, object, object]:
+        bed = Testbed(seed=3, technologies=("wlan",))
+        alice = bed.add_member("alice", ["music"], position=Point(100.0, 100.0))
+        bob = bed.add_member("bob", ["music"], position=Point(103.0, 100.0))
+        bed.run(30.0)
+        return bed, alice, bob
+
+    def test_community_handler_failure_names_the_link(self, monkeypatch):
+        bed, alice, bob = self._pair()
+        server = bob.app.server
+        served = server.requests_served
+
+        def broken(op, params):
+            raise RuntimeError("dispatch broke")
+
+        monkeypatch.setattr(server, "_dispatch", broken)
+        with pytest.raises(SimulationError, match=(
+                r"^process 'phc-server:bob<-alice' failed at t=30\.005093: "
+                r"RuntimeError\('dispatch broke'\)$")):
+            bed.execute(alice.app.view_member_profile("bob"))
+        monkeypatch.undo()
+        profile = bed.execute(alice.app.view_member_profile("bob"))
+        assert profile["member_id"] == "bob"
+        # The failed link stopped answering, so the client's attempt
+        # timed out and it dialed again.
+        assert bed.env.now == pytest.approx(50.525224, abs=1e-6)
+        assert server.requests_served == served + 1
+        bed.stop()
+
+    def test_control_handler_failure_names_the_daemon(self, monkeypatch):
+        bed, alice, bob = self._pair()
+        daemon = bob.device.daemon
+        plugin = alice.device.daemon.plugins["wlan"]
+
+        class Broken(dict):
+            def values(self):
+                raise RuntimeError("registry broke")
+
+        failed = bed.execute(plugin.connect("bob", PHD_PORT))
+        monkeypatch.setattr(daemon, "local_services",
+                            Broken(daemon.local_services))
+        failed.send({"op": "get_services"})
+        with pytest.raises(SimulationError, match=(
+                r"^process 'phd:bob:ctl' failed at t=30\.255036: "
+                r"RuntimeError\('registry broke'\)$")):
+            bed.run(bed.env.now + 1.0)
+        monkeypatch.undo()
+        # The failed link stays open and answers nothing more.
+        failed.send({"op": "get_services"})
+        bed.run(bed.env.now + 1.0)
+        assert not failed.closed and failed.pending() == 0
+
+        def ask():
+            connection = yield from plugin.connect("bob", PHD_PORT)
+            connection.send({"op": "get_services"})
+            reply = yield connection.recv()
+            connection.close()
+            return reply
+
+        reply = bed.execute(ask())
+        assert [entry["name"] for entry in reply["services"]] == [
+            "PeerHoodCommunity"]
+        bed.stop()
 
 
 # -- dispatch fuzzing ----------------------------------------------------------

@@ -303,12 +303,6 @@ class TestEnvironment:
         assert fired == ["outer", "inner"]
         assert env.now == 2.0
 
-    def test_timeout_signal_fires_with_value(self, env: Environment):
-        signal = env.timeout_signal(3.0, value="done")
-        env.run()
-        assert signal.fired
-        assert signal.value == "done"
-
     def test_unobserved_process_failure_raises(self, env: Environment):
         def exploding():
             yield from ()

@@ -187,17 +187,6 @@ class TestProcessComposition:
         assert not process.alive
         assert ticks == [1.0, 2.0, 3.0]
 
-    def test_spawn_at_delays_first_step(self, env: Environment):
-        trace = []
-
-        def worker():
-            trace.append(env.now)
-            yield Delay(1.0)
-
-        env.spawn_at(5.0, worker())
-        env.run()
-        assert trace == [5.0]
-
     def test_process_repr(self, env: Environment):
         def worker():
             yield Delay(1.0)
