@@ -90,11 +90,14 @@ class FitnessDevice:
         if not isinstance(request, dict) or request.get("op") != "batch":
             return
         try:
-            samples = [float(value) for value in request.get("samples", [])]
-            if not samples:
-                reply = {"ok": False, "error": "empty batch"}
+            try:
+                feedback = analyse([float(value)
+                                    for value in request.get("samples", [])])
+            except (TypeError, ValueError, OverflowError) as exc:
+                # No list of numbers, an empty batch or a negative
+                # heart rate: the peer is told, and the link stays up.
+                reply = {"ok": False, "error": str(exc)}
             else:
-                feedback = analyse(samples)
                 self.batches_analysed += 1
                 reply = {
                     "ok": True,

@@ -80,9 +80,13 @@ class GuidancePoint:
             return
         try:
             destination = request.get("destination", "")
-            try:
-                path = self.router.route(self.place, destination)
-            except (nx.NetworkXNoPath, nx.NodeNotFound):
+            path: list[str] | None = None
+            # Only a place name: networkx reads a missing target as
+            # "every target".
+            if isinstance(destination, str):
+                with contextlib.suppress(nx.NetworkXNoPath, nx.NodeNotFound):
+                    path = self.router.route(self.place, destination)
+            if path is None:
                 reply = {"ok": False, "error": f"no route to {destination!r}"}
             else:
                 next_place = path[1] if len(path) > 1 else self.place

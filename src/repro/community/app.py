@@ -75,6 +75,13 @@ class CommunityApp:
         self.server.stop()
         self.pool.close_all()
 
+    def close(self) -> None:
+        """Stop, and unlink the group registry from its groups: the last
+        cycle a stopped app holds.  Profiles, groups and counters stay
+        readable."""
+        self.stop()
+        self.engine.groups.close()
+
     # -- account management (Table 7: Profiles) -------------------------------
 
     def create_profile(self, member_id: str, username: str, password: str,

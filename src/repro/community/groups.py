@@ -107,6 +107,12 @@ class GroupRegistry:
         self._listeners = tuple(listener for listener in self._listeners
                                 if listener is not callback)
 
+    def close(self) -> None:
+        """Unlink the groups, which refer back here: they stay readable,
+        and their changes reach no listener."""
+        for group in self._groups.values():
+            group._registry = None
+
     def ensure(self, interest: str, when: float) -> Group:
         """The group for ``interest``, created on first reference."""
         group = self._groups.get(interest)

@@ -316,8 +316,10 @@ class CommunityServer(CommunityService):
         self.library = library
         self.env = library.daemon.env
         self._started = False
-        # Bound once: every inbound half holds it.
-        self._answer_bound = self._answer
+        #: Bound once per start: every inbound half holds it.  A stopped
+        #: server accepts no link, so it drops the handler, and with it
+        #: a cycle.
+        self._answer_bound: Callable[[Connection, Any], None] | None = None
 
     def now(self) -> float:
         """Simulated seconds; feeds profile-state writes and traces."""
@@ -331,6 +333,7 @@ class CommunityServer(CommunityService):
             SERVICE_NAME,
             {"type": "social-networking", "version": "0.2"},
             self._accept)
+        self._answer_bound = self._answer
         self._started = True
 
     def stop(self) -> None:
@@ -338,6 +341,7 @@ class CommunityServer(CommunityService):
         if self._started:
             self.library.unregister_service(SERVICE_NAME)
             self._started = False
+            self._answer_bound = None
 
     # -- connection handling ------------------------------------------------
 

@@ -49,7 +49,7 @@ def run_semantics_ablation(seed: int = 0) -> SemanticsResult:
     engine.teach_semantics("biking", "cycling")
     groups_after = tuple(engine.group_names())
     merged_after = tuple(engine.members_of("biking"))
-    bed.stop()
+    bed.close()
     return SemanticsResult(groups_before, groups_after,
                            biking_before, merged_after)
 
@@ -79,7 +79,7 @@ def run_technology_ablation(seed: int = 0) -> list[TechnologyResult]:
         cost = sum(adapter.cost_incurred for adapter in adapters)
         if technology == "gprs":
             cost += bed.gateway.total_cost()
-        bed.stop()
+        bed.close()
         results.append(TechnologyResult(technology, formation, sent, cost))
     return results
 
@@ -119,5 +119,5 @@ def run_scan_interval_sweep(intervals: tuple[float, ...] = (2.0, 5.0, 10.0,
         plugin = observer.device.daemon.plugins["bluetooth"]
         points.append(ScanIntervalPoint(interval, formed - arrival,
                                         plugin.scan_count))
-        bed.stop()
+        bed.close()
     return points

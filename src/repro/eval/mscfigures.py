@@ -63,7 +63,7 @@ def record_figure(figure: int, seed: int = 0) -> tuple[MscRecorder, object]:
     result = bed.execute(_figure_operation(bed, figure))
     recorder = bed.recorder.subchart(
         ["client:alice", "server:bob", "server:carol"])
-    bed.stop()
+    bed.close()
     return recorder, result
 
 

@@ -69,7 +69,7 @@ def density_point(count: int, seed: int = 0, *,
         timeout=deadline_s - bed.env.now)
     adapter = bed.medium.adapter(observer.device_id, technologies[0])
     point = DensityPoint(count, complete_at, adapter.bytes_sent)
-    bed.stop()
+    bed.close()
     return point
 
 
@@ -133,7 +133,7 @@ def fragmentation_point(pool_size: int, members: int = 10,
         groups=len(groups),
         largest_group=max(sizes) if sizes else 0,
         singleton_groups=sum(1 for size in sizes if size == 1))
-    bed.stop()
+    bed.close()
     return point
 
 

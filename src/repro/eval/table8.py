@@ -141,7 +141,7 @@ def run_peerhood_column(*, seed: int = 0, trials: int = 5,
         profile_s += human.read_page(ui.profile_read_s)
         assert profile is not None and profile["member_id"] == target
 
-        bed.stop()
+        bed.close()
         for index, value in enumerate((search_s, join_s,
                                        member_list_s, profile_s)):
             totals[index] += value

@@ -280,7 +280,35 @@ class Testbed:
                 f"{what} still running after {timeout} simulated seconds")
 
     def stop(self) -> None:
-        """Stop world ticks and daemons (lets the event queue drain)."""
+        """Stop world ticks and daemons (lets the event queue drain).
+
+        The bed stays usable: :meth:`run` and :meth:`execute` still
+        fire what is queued, and a daemon can start again.
+        """
         self.world.stop()
         for handle in self.devices.values():
             handle.daemon.stop()
+
+    def close(self) -> None:
+        """Stop, and take the world apart, so that the last reference to
+        the bed frees it by reference counting, not the cyclic
+        collector (DESIGN.md §10, "A closed world frees itself").
+
+        Closes every open link, which wakes the receivers waiting on
+        one; has every layer let go of what it holds that refers back
+        to it (back-references, handlers it bound to itself); and drops
+        the pending events and cohorts last, with whatever the woken
+        receivers queued.  Results stay readable, but the bed is not
+        usable any more: nothing fires again.  Raises
+        ``SimulationError`` for a failure not yet reported, as
+        :meth:`run` would.
+        """
+        self.stop()
+        self.registry.close_all()
+        for member in self.members.values():
+            member.app.close()
+        for handle in self.devices.values():
+            handle.daemon.close()
+        self.medium.close()
+        self.world.close()
+        self.env.close()

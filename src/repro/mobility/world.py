@@ -259,6 +259,15 @@ class World:
         """Stop the movement timer (ends the simulation's busy loop)."""
         self._timer.stop()
 
+    def close(self) -> None:
+        """Stop, and unlink the nodes and the movement listeners, which
+        refer back here; positions stay readable, and nothing is
+        reported any more."""
+        self.stop()
+        self._listeners.clear()
+        for node in self._nodes.values():
+            node._world = None
+
     def _model_changed(self, node: MobileNode) -> None:
         """Keep the movers in ``_nodes`` order across a model swap."""
         if type(node.model) is Stationary:

@@ -77,7 +77,9 @@ class PeerHoodDaemon:
         #: at all times, letting a steady-state merge skip the
         #: walk over the whole neighbourhood table.
         self._seen_by_tech: dict[str, set[str]] = {}
-        # Bound once: every inbound control half holds it.
+        # Bound once: every inbound control half holds it.  ``None``
+        # once closed.
+        self._answer_control_bound: Callable[[Connection, object], None] | None
         self._answer_control_bound = self._answer_control
         stack.listen(PHD_PORT, self._accept_control)
 
@@ -104,6 +106,23 @@ class PeerHoodDaemon:
         result and ends its loop.
         """
         self._running = False
+
+    def close(self) -> None:
+        """Stop for good, and let go of what refers back to this daemon:
+        the scan loops, the control listener and the event callbacks.
+
+        The neighbourhood table and the counters stay readable; unlike
+        after :meth:`stop`, :meth:`start` scans nothing.
+        """
+        self.stop()
+        self.stack.unlisten(PHD_PORT)
+        self._answer_control_bound = None
+        for loop in self._loops:
+            loop.close()
+        self._loops = []
+        self._found_callbacks.clear()
+        self._lost_callbacks.clear()
+        self._services_callbacks.clear()
 
     @property
     def running(self) -> bool:
@@ -392,6 +411,12 @@ class _ScanLoop:
         # made per call is one more object for the cyclic collector.
         self._begin = self.begin
         self._end = self.end
+
+    def close(self) -> None:
+        """Let go of the bound callbacks, which refer back to the loop;
+        a scheduled callback still ends the loop, since the daemon has
+        stopped."""
+        del self._begin, self._end
 
     def arm(self, delay: float) -> None:
         """Schedule the loop's next scan ``delay`` seconds from now."""

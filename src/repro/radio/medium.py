@@ -265,6 +265,14 @@ class Medium:
         """Whether the wide-area technology has infrastructure."""
         return technology_name in self._gateways
 
+    def close(self) -> None:
+        """Unlink the adapters and the installed fault injector, which
+        refer back here; adapters stay readable, and toggling one no
+        longer reaches the caches."""
+        for adapter in self._adapters.values():
+            adapter._medium = None
+        self.faults = None
+
     # -- queries --------------------------------------------------------------
 
     def reachable(self, a: str, b: str, technology_name: str) -> bool:

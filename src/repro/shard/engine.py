@@ -20,11 +20,12 @@ log; ghosts are merely visible.
 
 Between windows the coordinator calls :meth:`collect_exchange` /
 :meth:`apply_exchange`: devices that walked into another shard's
-territory migrate (their full state moves), and the border ghost set
-is refreshed.  The exchange is a delta: an exporter ships a full
-snapshot only the first time it exports a ghost to a destination, and
-a ``(device_id, x, y)`` *kept* entry while the destination still holds
-the replica it was sent.  By the exactness invariant that replica is
+territory migrate (their full state and their export record move),
+and the border ghost set is refreshed.  The exchange is a delta: a
+device's owner ships a full snapshot only the first time the device is
+exported as a ghost to a destination, and a ``(device_id, x, y)``
+*kept* entry while the destination still holds the replica it was
+sent, whichever owner sent it.  By the exactness invariant that replica is
 bit-identical to the owner's copy, which ``verify_ghosts=True``
 asserts against the kept positions.
 
@@ -144,8 +145,11 @@ class ShardConfig:
 class ShardExchange:
     """One shard's outgoing border traffic at a window edge."""
 
-    #: (destination shard, device state) for devices that changed owner.
-    migrations: list[tuple[int, DeviceState]] = field(default_factory=list)
+    #: (destination shard, device state, the shards it is exported to
+    #: as a ghost at this edge) for devices that changed owner: the new
+    #: owner takes over the export record.
+    migrations: list[tuple[int, DeviceState, tuple[int, ...]]] = field(
+        default_factory=list)
     #: (destination shard, device state) for ghosts this shard did not
     #: export to that destination at the previous window edge.
     snapshots: list[tuple[int, DeviceState]] = field(default_factory=list)
@@ -551,7 +555,7 @@ class ShardSim:
         else:
             targets = tuple(target for target in targets if target != owner)
         if owner != self.shard_id:
-            exchange.migrations.append((owner, state))
+            exchange.migrations.append((owner, state, targets))
             emigrants.append(device_id)
         elif walker:
             memo = self._routes.get(device_id)
@@ -600,12 +604,16 @@ class ShardSim:
             in enumerate(zip(old, self.partition.tile_map, strict=True))
             if was != now)
 
-    def apply_exchange(self, immigrants: list[DeviceState],
+    def apply_exchange(self,
+                       immigrants: list[tuple[DeviceState, tuple[int, ...]]],
                        snapshots: list[DeviceState],
                        kept: list[KeptGhost],
                        tile_map: tuple[int, ...] | None = None) -> None:
         """Install the coordinator's routed border traffic.
 
+        Each immigrant comes with the shards its old owner exported it
+        to at this edge, which hold its replica from now on: this
+        shard's next edge sends them kept entries, not snapshots.
         This window's ghosts are the snapshots plus the kept entries;
         any other ghost is dropped.  Removals run before additions so
         a device converting between owned and ghost (either direction)
@@ -613,11 +621,11 @@ class ShardSim:
         layer (``World.remove_nodes``/``add_nodes``,
         ``Medium.detach_all``/``attach_all``), so the world notifies
         and the medium starts a new topology version once per batch,
-        not once per device.  A ghost already held —
-        every kept entry, and a snapshot from an exporter that took
-        over the device — keeps its live local replica untouched: it
-        is bit-identical by the exactness invariant, which
-        ``verify_ghosts`` checks against the exporter's position.  A
+        not once per device.  A kept entry's ghost keeps its live
+        local replica untouched: it is bit-identical by the exactness
+        invariant, which ``verify_ghosts`` checks against the
+        exporter's position.  A snapshot's ghost is never held already,
+        since an export record moves with its device.  A
         non-``None`` ``tile_map`` is adopted *after* the install: the
         incoming traffic was routed under the old map, and the new one
         governs the next window.
@@ -634,15 +642,15 @@ class ShardSim:
         for device_id in dropped:
             del ghosts[device_id]
         self._emigrant_ids = []
-        self._install(immigrants, self.owned)
+        self._install([state for state, _ in immigrants], self.owned)
+        exported = self._exported
+        for state, targets in immigrants:
+            if targets:
+                exported[state.device_id] = targets
         if self.config.verify_ghosts:
-            for state in snapshots:
-                if state.device_id in ghosts:
-                    self._verify_replica(state.device_id, state.x, state.y)
             for device_id, x, y in kept:
                 self._verify_replica(device_id, x, y)
-        self._install([state for state in snapshots
-                       if state.device_id not in ghosts], ghosts)
+        self._install(snapshots, ghosts)
         if tile_map is not None:
             self.adopt_tile_map(tile_map)
 

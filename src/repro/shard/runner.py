@@ -302,12 +302,15 @@ def _clone(value: _T) -> _T:
 #: targets each owned device was exported to (device id -> shards).
 Split = tuple[list[DeviceState], list[DeviceState], dict[str, tuple[int, ...]]]
 
-#: One shard's outgoing traffic: migrations, snapshots, kept ghosts.
-Exports = tuple[list[tuple[int, DeviceState]], list[tuple[int, DeviceState]],
-                list[tuple[int, KeptGhost]]]
+#: One shard's outgoing traffic: migrations (each with its ghost
+#: targets), snapshots, kept ghosts.
+Exports = tuple[list[tuple[int, DeviceState, tuple[int, ...]]],
+                list[tuple[int, DeviceState]], list[tuple[int, KeptGhost]]]
 
-#: One shard's incoming traffic: immigrants, snapshots, kept ghosts.
-Bundle = tuple[list[DeviceState], list[DeviceState], list[KeptGhost]]
+#: One shard's incoming traffic: immigrants (each with its ghost
+#: targets), snapshots, kept ghosts.
+Bundle = tuple[list[tuple[DeviceState, tuple[int, ...]]], list[DeviceState],
+               list[KeptGhost]]
 
 
 def _initial_split(config: ShardConfig,
@@ -343,14 +346,14 @@ def _route(exchanges: list[Exports], shards: int) -> list[Bundle]:
     """Gather/scatter: bundle every shard's exports per destination."""
     bundles: list[Bundle] = [([], [], []) for _ in range(shards)]
     for migrations, snapshots, kept in exchanges:
-        for target, state in migrations:
-            bundles[target][0].append(state)
+        for target, state, ghost_targets in migrations:
+            bundles[target][0].append((state, ghost_targets))
         for target, state in snapshots:
             bundles[target][1].append(state)
         for target, entry in kept:
             bundles[target][2].append(entry)
     for immigrants, arrivals, _ in bundles:
-        immigrants.sort(key=lambda state: state.device_id)
+        immigrants.sort(key=lambda immigrant: immigrant[0].device_id)
         arrivals.sort(key=lambda state: state.device_id)
     return bundles
 

@@ -230,6 +230,23 @@ class Environment:
                 f"process {process.name!r} failed at t={self.now:.6f}: {exc!r}"
             ) from exc
 
+    def close(self) -> None:
+        """Drop every pending event and cohort unfired.
+
+        Their callbacks belong to objects that hold the environment, so
+        the queue and those objects form cycles; once they are dropped,
+        reference counting frees the world (DESIGN.md §10, "A closed
+        world frees itself").  A suspended process that only a pending
+        event kept alive finishes here, and its ``finally`` block runs
+        inside this call.  Of the failures not yet reported, the first
+        is raised as :class:`SimulationError`, as :meth:`run` would, and
+        the rest are dropped.
+        """
+        self.queue.clear()
+        self._cohorts.clear()
+        del self._failures[1:]
+        self._raise_pending_failure()
+
     # -- failures -------------------------------------------------------------
 
     def note_failure(self, process: Failing, exception: BaseException) -> None:

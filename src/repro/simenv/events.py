@@ -63,6 +63,11 @@ class Event:
         return f"Event(t={self.time:.6f}, seq={self.sequence}, {state})"
 
 
+def _dropped() -> None:
+    """The callback :meth:`EventQueue.clear` leaves on an event: it holds
+    nothing."""
+
+
 class EventQueue:
     """Binary heap of :class:`Event` with deterministic tie-breaking."""
 
@@ -145,6 +150,24 @@ class EventQueue:
             events_popped_global += 1
             return event
         return None
+
+    def clear(self) -> None:
+        """Drop every entry, cancelled or not, without firing it.
+
+        A dropped event lets go of its callback, whose owner may hold
+        the event (a periodic timer does), so the two form no cycle.
+        What only the callback kept alive, such as a suspended process,
+        is freed and cleans up here; whatever that queues goes too.
+        """
+        heap = self._heap
+        while heap:
+            entries = heap[:]
+            heap.clear()
+            for _time, _sequence, event in entries:
+                # A late cancel() must not touch the live count.
+                event._queue = None
+                event.callback = _dropped
+            self._live = 0
 
     def peek_time(self) -> float | None:
         """Time of the earliest live event, or ``None`` when empty."""

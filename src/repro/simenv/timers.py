@@ -23,16 +23,16 @@ class PeriodicTimer:
             raise ValueError(f"interval must be positive, got {interval!r}")
         self._env = env
         self._interval = interval
-        self._callback = callback
+        #: ``None`` once stopped.
+        self._callback: Callable[[], Any] | None = callback
         self._event: Event | None = None
-        self._running = True
         self.fire_count = 0
         self._schedule_next()
 
     @property
     def running(self) -> bool:
         """Whether the timer will fire again."""
-        return self._running
+        return self._callback is not None
 
     @property
     def interval(self) -> float:
@@ -40,8 +40,12 @@ class PeriodicTimer:
         return self._interval
 
     def stop(self) -> None:
-        """Cancel the pending firing; the timer never fires again."""
-        self._running = False
+        """Cancel the pending firing; the timer never fires again.
+
+        It lets go of its callback, which is often a method of the
+        timer's owner: a stopped timer and its owner form no cycle.
+        """
+        self._callback = None
         if self._event is not None:
             self._event.cancel()
             self._event = None
@@ -50,9 +54,10 @@ class PeriodicTimer:
         self._event = self._env.call_in(self._interval, self._fire)
 
     def _fire(self) -> None:
-        if not self._running:
+        callback = self._callback
+        if callback is None:
             return
         self.fire_count += 1
-        self._callback()
-        if self._running:
+        callback()
+        if self._callback is not None:
             self._schedule_next()

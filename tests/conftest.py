@@ -59,11 +59,10 @@ def linked_pair(env, world, medium, registry):
 
 @pytest.fixture
 def bed() -> Testbed:
-    """A small Bluetooth+WLAN testbed, stopped at teardown."""
+    """A small Bluetooth+WLAN testbed, closed at teardown."""
     testbed = Testbed(seed=7)
     yield testbed
-    testbed.stop()
-    testbed.registry.close_all()
+    testbed.close()
 
 
 @pytest.fixture

@@ -119,6 +119,16 @@ class TestGuidance:
         reply = bed.execute(traveler.ask_route("narnia"))
         assert not reply["ok"]
 
+    @pytest.mark.parametrize("destination", [None, 5, ["lab"], {"to": "lab"}])
+    def test_non_string_destination_reported(self, campus, destination):
+        # A hostile peer's request: ``None`` once made networkx return
+        # every path, and indexing that ended the run.
+        bed, _, points, traveler = campus
+        reply = bed.execute(traveler.ask_route(destination))
+        assert reply == {"ok": False,
+                         "error": f"no route to {destination!r}"}
+        assert sum(p.queries_served for p in points.values()) == 0
+
     def test_traveler_walks_route_to_destination(self, campus):
         bed, router, _, traveler = campus
         reply = bed.execute(traveler.ask_route("lab"))
@@ -188,3 +198,28 @@ class TestFitness:
         feedback = bed.execute(tracker.workout("bike", [[]]))
         assert feedback == []  # error batches produce no feedback
         bed.stop()
+
+    def test_unanalysable_batches_answered_and_link_kept(self):
+        # A hostile peer's batches each get an error reply; none ends
+        # the run, and the same link then serves a good batch.
+        bed = Testbed(seed=73, technologies=("bluetooth",))
+        device = bed.add_device("bike", position=Point(100, 100))
+        bike = FitnessDevice(device.library, "bike")
+        user = bed.add_device("user", position=Point(101, 100))
+        bed.run(30.0)
+        replies = []
+
+        def session():
+            connection = yield from user.library.connect("bike", "Fitness")
+            for samples in (["x"], [-5], 7, None, [10 ** 400], [],
+                            [120.0, 130.0]):
+                connection.send({"op": "batch", "samples": samples})
+                replies.append((yield connection.recv()))
+            connection.close()
+
+        bed.execute(session())
+        assert [reply["ok"] for reply in replies] == [False] * 6 + [True]
+        assert all(isinstance(reply["error"], str) for reply in replies[:6])
+        assert replies[-1]["zone"] == "fat burn"
+        assert bike.batches_analysed == 1
+        bed.close()

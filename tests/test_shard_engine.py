@@ -347,19 +347,32 @@ STATIONARY = crowd_workload(24, seed=7, sim_seconds=12.0, walker_fraction=0.0,
                             scan_interval=2.0, window=1.0)
 
 
-def _spy_handovers(monkeypatch) -> list[str]:
-    """Record every snapshot that arrives for a ghost its destination
-    already holds: the device's exporter changed since the last edge."""
+def _spy_handovers(monkeypatch) -> tuple[list[str], list[str]]:
+    """Record the kept entries a device's new owner sends at its first
+    edge (the device changed owner since the last edge), and every
+    snapshot that arrives for a ghost its destination already holds."""
     handed_over: list[str] = []
+    resent: list[str] = []
+    last_owner: dict[str, int] = {}
+    collect = ShardSim.collect_exchange
     apply = ShardSim.apply_exchange
 
-    def spy(sim, immigrants, snapshots, kept, tile_map=None):
-        handed_over.extend(state.device_id for state in snapshots
-                           if state.device_id in sim.ghosts)
+    def collecting(sim):
+        exchange = collect(sim)
+        handed_over.extend(
+            device_id for _, (device_id, _, _) in exchange.kept
+            if last_owner.get(device_id, sim.shard_id) != sim.shard_id)
+        last_owner.update((device_id, sim.shard_id) for device_id in sim.owned)
+        return exchange
+
+    def applying(sim, immigrants, snapshots, kept, tile_map=None):
+        resent.extend(state.device_id for state in snapshots
+                      if state.device_id in sim.ghosts)
         return apply(sim, immigrants, snapshots, kept, tile_map)
 
-    monkeypatch.setattr(ShardSim, "apply_exchange", spy)
-    return handed_over
+    monkeypatch.setattr(ShardSim, "collect_exchange", collecting)
+    monkeypatch.setattr(ShardSim, "apply_exchange", applying)
+    return handed_over, resent
 
 
 class TestDeltaExchange:
@@ -406,30 +419,33 @@ class TestDeltaExchange:
         with pytest.raises(GhostDivergenceError):
             run_sharded(STATIONARY, 2)
 
-    def test_migrating_exporter_resends_and_matches_reference(
+    def test_migrating_owner_keeps_ghosts_and_matches_reference(
             self, monkeypatch):
-        """The corner hopper changes owner every window, so its ghosts
-        change exporter; the new exporter's snapshot must land on the
-        replica the destination already holds."""
-        handed_over = _spy_handovers(monkeypatch)
+        """The corner hopper changes owner every window, and its export
+        record moves with it: the new owner's kept entries vouch for the
+        replicas the destinations hold (``verify_ghosts`` checks each),
+        and no snapshot lands on one."""
+        handed_over, resent = _spy_handovers(monkeypatch)
         sharded = run_sharded(CORNER, 4, partition="tile")
         assert "hopper" in handed_over
+        assert resent == []
         assert compare_results(reference_run(CORNER), sharded,
                                label_a="reference",
                                label_b="corner-handover") == []
 
-    def test_rebalance_retarget_resends_and_matches_reference(
+    def test_rebalance_retarget_keeps_ghosts_and_matches_reference(
             self, monkeypatch):
         """With nobody moving, every migration is a rebalanced tile
-        changing hands, and every handover snapshot comes from one."""
+        changing hands, and its devices' ghosts stay kept entries."""
         still = clustered_workload(48, seed=13, sim_seconds=12.0,
                                    clusters=4, center_spread=0.05,
                                    center_spread_y=0.3, scan_interval=2.0,
                                    window=1.0, walker_fraction=0.0)
-        handed_over = _spy_handovers(monkeypatch)
+        handed_over, resent = _spy_handovers(monkeypatch)
         sharded = run_sharded(still, 4, partition="tile", rebalance=True)
         assert sharded.tiles_migrated > 0 and sharded.migrations > 0
         assert handed_over
+        assert resent == []
         assert compare_results(reference_run(still), sharded,
                                label_a="reference",
                                label_b="rebalance-handover") == []
@@ -553,7 +569,8 @@ def full_walk_exchange(sim: ShardSim, since: float) -> dict:
         x, y = position.x, position.y
         tile, owner, targets = sim.partition.route(x, y, halo)
         if owner != sim.shard_id:
-            migrations.append((owner, device_id, x, y))
+            migrations.append((owner, device_id, x, y, tuple(
+                target for target in targets if target != owner)))
             emigrants.append(device_id)
         held = sim._exported.get(device_id, ())
         for target in targets:
@@ -584,8 +601,9 @@ def _spy_edges(monkeypatch) -> list[tuple[dict, dict]]:
         last_edge[sim.shard_id] = sim.env.now
         assert len(set(exchange.kept)) == len(exchange.kept)
         pairs.append((expected, {
-            "migrations": sorted((target, state.device_id, state.x, state.y)
-                                 for target, state in exchange.migrations),
+            "migrations": sorted(
+                (target, state.device_id, state.x, state.y, ghost_targets)
+                for target, state, ghost_targets in exchange.migrations),
             "snapshots": sorted((target, state.device_id, state.x, state.y)
                                 for target, state in exchange.snapshots),
             "kept": set(exchange.kept), "emigrants": list(sim._emigrant_ids),

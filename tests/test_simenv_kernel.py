@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 from functools import partial
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.simenv import Environment, EventQueue, Signal, SimClock, SimulationError
+from repro.simenv import (Delay, Environment, EventQueue, PeriodicTimer, Signal,
+                          SimClock, SimulationError)
 from repro.simenv.clock import SimClock as Clock
 
 
@@ -449,3 +452,72 @@ class TestCohorts:
     def test_negative_delay_rejected(self, env: Environment):
         with pytest.raises(ValueError):
             env.call_in_cohort(-0.5, lambda: None)
+
+
+class TestClose:
+    """A closed environment holds nothing that refers back to it."""
+
+    def test_drops_events_cohorts_and_what_their_drop_queues(self):
+        env = Environment()
+        fired = []
+
+        def sleeper():
+            try:
+                yield Delay(5.0)
+            finally:
+                # Runs when close() drops the only reference, and
+                # queues one more event.
+                env.call_in(1.0, fired.append, "late")
+
+        env.spawn(sleeper())
+        env.call_in(2.0, fired.append, "timer")
+        env.call_in_cohort(3.0, partial(fired.append, "member"))
+        cancelled = env.call_in(4.0, fired.append, "cancelled")
+        cancelled.cancel()
+        env.close()
+        assert env.queue._heap == [] and env._cohorts == {}
+        assert len(env.queue) == 0 and not env.step()
+        env.run(until=10.0)
+        assert fired == []
+
+    def test_late_cancel_keeps_the_count(self):
+        env = Environment()
+        event = env.call_in(1.0, lambda: None)
+        env.close()
+        event.cancel()
+        assert len(env.queue) == 0
+        env.call_in(1.0, lambda: None)
+        assert len(env.queue) == 1
+
+    def test_last_reference_frees_it(self):
+        env = Environment()
+
+        def sleeper():
+            yield Delay(5.0)
+
+        env.spawn(sleeper())
+        PeriodicTimer(env, 1.0, lambda: None)
+        env.call_in_cohort(1.0, lambda: None)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            ref = weakref.ref(env)
+            env.close()
+            del env
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_raises_the_first_unreported_failure_once(self):
+        env = Environment()
+        env.note_failure(_Named("first"), ValueError("one"))
+        env.note_failure(_Named("second"), ValueError("two"))
+        with pytest.raises(SimulationError, match="process 'first' failed"):
+            env.close()
+        env.close()
+
+
+class _Named:
+    def __init__(self, name: str) -> None:
+        self.name = name
