@@ -50,8 +50,6 @@ class AccessControlledDoor:
         self.env = library.daemon.env
         self.is_open = False
         self.log: list[AccessLogEntry] = []
-        # Bound once: every inbound half holds it.
-        self._answer_bound = self._answer
         library.register_service(SERVICE_NAME, {"resource": resource},
                                  self._accept)
 
@@ -68,7 +66,7 @@ class AccessControlledDoor:
     # -- request handling -----------------------------------------------------
 
     def _accept(self, connection: Connection) -> None:
-        connection.on_payload = self._answer_bound
+        connection.on_payload = self._answer
 
     def _answer(self, connection: Connection, request: object) -> None:
         """Answer the link's one unlock request in its delivery event."""

@@ -73,13 +73,11 @@ class FitnessDevice:
         self.equipment = equipment
         self.env = library.daemon.env
         self.batches_analysed = 0
-        # Bound once: every inbound half holds it.
-        self._answer_bound = self._answer
         library.register_service(SERVICE_NAME, {"equipment": equipment},
                                  self._accept)
 
     def _accept(self, connection: Connection) -> None:
-        connection.on_payload = self._answer_bound
+        connection.on_payload = self._answer
 
     def _answer(self, connection: Connection, request: object) -> None:
         """Analyse one batch in its delivery event; the half keeps

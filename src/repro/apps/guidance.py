@@ -65,13 +65,11 @@ class GuidancePoint:
         self.place = place
         self.env = library.daemon.env
         self.queries_served = 0
-        # Bound once: every inbound half holds it.
-        self._answer_bound = self._answer
         library.register_service(SERVICE_NAME, {"place": place},
                                  self._accept)
 
     def _accept(self, connection: Connection) -> None:
-        connection.on_payload = self._answer_bound
+        connection.on_payload = self._answer
 
     def _answer(self, connection: Connection, request: object) -> None:
         """Answer the link's one route query in its delivery event."""

@@ -109,13 +109,18 @@ class PeerHoodDaemon:
 
     def close(self) -> None:
         """Stop for good, and let go of what refers back to this daemon:
-        the scan loops, the control listener and the event callbacks.
+        the scan loops, the control listener, the listeners of the
+        local services (often methods of an app that holds the
+        library) and the event callbacks.
 
-        The neighbourhood table and the counters stay readable; unlike
-        after :meth:`stop`, :meth:`start` scans nothing.
+        The neighbourhood table, the service registry and the counters
+        stay readable; unlike after :meth:`stop`, :meth:`start` scans
+        nothing.
         """
         self.stop()
         self.stack.unlisten(PHD_PORT)
+        for name in self.local_services:
+            self.stack.unlisten(name)
         self._answer_control_bound = None
         for loop in self._loops:
             loop.close()

@@ -20,14 +20,18 @@ log; ghosts are merely visible.
 
 Between windows the coordinator calls :meth:`collect_exchange` /
 :meth:`apply_exchange`: devices that walked into another shard's
-territory migrate (their full state and their export record move),
-and the border ghost set is refreshed.  The exchange is a delta: a
-device's owner ships a full snapshot only the first time the device is
-exported as a ghost to a destination, and a ``(device_id, x, y)``
-*kept* entry while the destination still holds the replica it was
-sent, whichever owner sent it.  By the exactness invariant that replica is
-bit-identical to the owner's copy, which ``verify_ghosts=True``
-asserts against the kept positions.
+territory migrate (their full state, their export record and their
+route move), and the border ghost set is refreshed.  The exchange is a
+delta: a device's owner ships a full snapshot only to a shard that
+does not hold the device, and a ``(device_id, x, y)`` *kept* entry to
+one that does, whichever owner sent it the replica; an emigrant's old
+owner, which keeps its node as a ghost while the device stays in its
+halo, is sent a kept entry too.  By the exactness invariant a held
+replica is bit-identical to the owner's copy, which
+``verify_ghosts=True`` asserts against the kept positions.  So a
+device enters or leaves a shard's world only when it enters or leaves
+that shard's halo: a migration hands the node's role over in place on
+both sides.
 
 Ownership geometry is a :class:`~repro.shard.partition.TilePartition`
 (vertical strips are its one-row preset): the engine only ever asks
@@ -40,12 +44,13 @@ traffic is installed, so it governs the next window's ownership
 re-evaluation and the reassigned tiles' devices migrate through the
 ordinary exchange path one window later.
 
-A window edge costs what moved.  A stationary device's route, exports
-and tile hold until a map is adopted, so the edge re-routes only the
-devices that arrived since the last one, and each walker only once it
-leaves the exact box around it where its route holds
-(:meth:`~repro.shard.partition.TilePartition.route_box`).  After an
-adoption it re-routes the devices whose halo index box
+A window edge costs what moved.  Every owned device is installed with
+its route: the initial split and a migration hand over the ghost
+targets and, for a walker, the exact box around it where its route
+holds (:meth:`~repro.shard.partition.TilePartition.route_with_box`).
+A stationary device's route, exports and tile hold until a map is
+adopted, and a walker is re-routed only once it leaves its box.
+After an adoption the edge re-routes the devices whose halo index box
 (:meth:`~repro.shard.partition.TilePartition.index_box`) holds a
 reassigned tile, and ``apply_exchange`` installs and uninstalls
 through the world's and the medium's batch forms, so a rebalance that
@@ -75,6 +80,15 @@ LogEntry = tuple[float, tuple[str, ...]]
 
 #: A ghost the destination already holds: (device id, x, y).
 KeptGhost = tuple[str, float, float]
+
+#: A walker's route memo: ``(lo_x, hi_x, lo_y, hi_y, tile)``, the box
+#: in which its route holds under any map and the tile it stands in.
+WalkerRoute = tuple[float, float, float, float, int]
+
+#: An owned device as its owner installs it: its state, the shards that
+#: hold its replica (its ghost targets), and its route memo if it is a
+#: walker (``None`` for a stationary device).
+OwnedDevice = tuple[DeviceState, tuple[int, ...], WalkerRoute | None]
 
 
 def _box_meets(box: tuple[int, int, int, int],
@@ -146,15 +160,16 @@ class ShardExchange:
     """One shard's outgoing border traffic at a window edge."""
 
     #: (destination shard, device state, the shards it is exported to
-    #: as a ghost at this edge) for devices that changed owner: the new
-    #: owner takes over the export record.
-    migrations: list[tuple[int, DeviceState, tuple[int, ...]]] = field(
-        default_factory=list)
-    #: (destination shard, device state) for ghosts this shard did not
-    #: export to that destination at the previous window edge.
+    #: as a ghost at this edge, its route memo) for devices that changed
+    #: owner: the new owner takes over the export record and the route.
+    migrations: list[tuple[int, DeviceState, tuple[int, ...],
+                           WalkerRoute | None]] = field(default_factory=list)
+    #: (destination shard, device state) for ghosts the destination
+    #: does not hold.
     snapshots: list[tuple[int, DeviceState]] = field(default_factory=list)
     #: (destination shard, kept ghost) for ghosts the destination
-    #: holds from this shard's previous export.
+    #: holds: from this shard's previous export, or, for an emigrant's
+    #: entry to this shard, as the node it owned until this edge.
     kept: list[tuple[int, KeptGhost]] = field(default_factory=list)
     #: tile index -> load (owned devices weighted by the scan events
     #: they fired this window); empty unless the run rebalances.
@@ -175,9 +190,8 @@ class ShardSim:
     """One region shard's private simulation slice."""
 
     def __init__(self, config: ShardConfig, shard_id: int,
-                 owned: list[DeviceState],
-                 ghosts: list[DeviceState],
-                 exported: dict[str, tuple[int, ...]]) -> None:
+                 owned: list[OwnedDevice],
+                 ghosts: list[DeviceState]) -> None:
         self.config = config
         self.shard_id = shard_id
         self.partition = config.partition.build(config.bounds, config.shards)
@@ -191,9 +205,6 @@ class ShardSim:
         #: The owned devices whose model moves them, in owned order,
         #: with their world nodes.
         self._walkers: dict[str, MobileNode] = {}
-        #: Owned devices installed since the last edge, in owned order:
-        #: the next edge routes them afresh.
-        self._arrivals: dict[str, None] = {}
         #: Tiles whose owner changed since the last edge.
         self._remapped: set[int] = set()
         #: scan phase -> its owned devices, in owned order, each with
@@ -230,57 +241,59 @@ class ShardSim:
         #: ``device_events`` reading at the last exchange — the delta
         #: is the per-window event count the imbalance factor tracks.
         self._events_at_collect = 0
-        #: device id -> the shards this shard shipped it to as a ghost
-        #: at the last window edge (the initial split before the
-        #: first); each of them still holds an exact replica.
-        self._exported = exported
+        #: device id -> the shards that hold an exact replica of an
+        #: owned device: the ghost targets it was exported to at the
+        #: last window edge, or by the initial split before the first.
+        self._exported: dict[str, tuple[int, ...]] = {}
         #: The kept entries of every exported stationary device, for
         #: the next edge; ``None`` once one of them changed.
         self._still_kept: list[tuple[int, KeptGhost]] | None = None
-        #: walker -> (lo_x, hi_x, lo_y, hi_y, tile, owner, ghost
-        #: targets other than the owner): the box in which its route
-        #: holds (map-independent), and that route under the current
-        #: map.  A stationary device keeps no memo.
-        self._routes: dict[str, tuple[float, float, float, float,
-                                      int, int, tuple[int, ...]]] = {}
+        #: walker -> its route memo (:data:`WalkerRoute`).  Its ghost
+        #: targets are its ``_exported`` entry.  A stationary device
+        #: keeps no memo.
+        self._routes: dict[str, WalkerRoute] = {}
         self.world.on_moves(self._count_owned_moves)
-        self._install(owned, self.owned)
-        self._install(ghosts, self.ghosts)
-        # The initial split routed every owned device where its state
-        # stands, inside the bounds, and recorded its ghost targets in
-        # ``exported``; a stationary device keeps that route, so the
-        # first edge routes only the walkers.
-        self._arrivals = {device_id: None for device_id in self.owned
-                          if device_id in self._walkers}
+        self._install([state for state, _, _ in owned])
+        self._own(owned)
+        self._install(ghosts)
+        for state in ghosts:
+            self.ghosts[state.device_id] = state
 
     # -- population --------------------------------------------------------
 
-    def _install(self, states: list[DeviceState],
-                 bucket: dict[str, DeviceState]) -> None:
-        """Put ``states`` into the world, the medium and ``bucket``, in
-        order, each layer in one batch."""
-        nodes = self.world.add_nodes(
-            [(state.device_id, state.position(), state.model)
-             for state in states])
+    def _install(self, states: list[DeviceState]) -> None:
+        """Put ``states`` into the world and the medium, in order, each
+        layer in one batch."""
+        self.world.add_nodes([(state.device_id, state.position(),
+                               state.model) for state in states])
         self.medium.attach_all([state.device_id for state in states],
                                self.technology)
-        if bucket is not self.owned:
-            for state in states:
-                bucket[state.device_id] = state
-            return
+
+    def _own(self, devices: list[OwnedDevice]) -> None:
+        """Enter devices whose nodes are in the world into the
+        owned-device records, in order, each with the ghost targets and
+        route it arrives with: nothing is routed here."""
+        node_of = self.world.node
         partition = self.partition
         halo = self.config.halo
         rebalance = self.config.rebalance
-        for state, node in zip(states, nodes, strict=True):
+        owned = self.owned
+        exported = self._exported
+        for state, targets, route in devices:
             device_id = state.device_id
-            bucket[device_id] = state
-            self._arrivals[device_id] = None
+            owned[device_id] = state
             self._scanners.setdefault(state.scan_phase, {})[device_id] = \
                 self._installs
             self._installs += 1
+            if targets:
+                exported[device_id] = targets
+            node = node_of(device_id)
             if type(node.model) is not Stationary:
                 self._walkers[device_id] = node
+                self._routes[device_id] = route
                 continue
+            if targets:
+                self._still_kept = None
             position = node.position
             x = position.x
             y = position.y
@@ -295,22 +308,20 @@ class ShardSim:
         one batch."""
         self.medium.detach_all(device_ids, SHARD_TECH)
         self.world.remove_nodes(device_ids)
-        routes = self._routes
-        for device_id in device_ids:
-            routes.pop(device_id, None)
 
-    def _disown(self, device_id: str) -> None:
-        """Drop an emigrant from the owned-device records (before it
-        leaves the world)."""
+    def _disown(self, device_id: str) -> DeviceState:
+        """Drop an emigrant from the owned-device records and return
+        its state; its node stays in the world."""
         state = self.owned.pop(device_id)
         scanners = self._scanners[state.scan_phase]
         del scanners[device_id]
         if not scanners:
             del self._scanners[state.scan_phase]
+        exported = self._exported.pop(device_id, None)
         if self._walkers.pop(device_id, None) is not None:
-            self._exported.pop(device_id, None)
-            return
-        if self._exported.pop(device_id, None) is not None:
+            del self._routes[device_id]
+            return state
+        if exported is not None:
             self._still_kept = None
         position = self.world.node(device_id).position
         box = self.partition.index_box(position.x, position.y,
@@ -322,6 +333,7 @@ class ShardSim:
         tile = self._tile_of.pop(device_id, -1)
         if tile >= 0:
             self._still_per_tile[tile] -= 1
+        return state
 
     def _count_owned_moves(self, report: MovementReport) -> None:
         owned = self.owned
@@ -424,22 +436,24 @@ class ShardSim:
         The old owner announces both the migration and the ghost
         exports for a departing device, so a window edge costs exactly
         one gather/scatter round through the coordinator.  A ghost
-        export to a shard this one exported the device to at the
-        previous edge is a kept entry; any other is a full snapshot.
-        When the run rebalances, the exchange also carries per-tile
-        loads — each owned device contributes ``1 + scan events this
-        window`` to the tile it stands in — which feed the
-        coordinator's rebalancer.
+        export to a shard that holds the device is a kept entry: to a
+        shard this one exported it to at the previous edge, or, for an
+        emigrant, to this shard, which keeps its node as a ghost.  Any
+        other export is a full snapshot.  When the run rebalances, the
+        exchange also carries per-tile loads — each owned device
+        contributes ``1 + scan events this window`` to the tile it
+        stands in — which feed the coordinator's rebalancer.
 
-        The edge walks what can have changed: each walker (a box test
-        while it stays where its route holds) and each arrival, in
-        owned order, so emigrants leave in that order.  After a map
-        adoption it also routes each device whose halo index box
+        The edge walks what can have changed: each walker, in owned
+        order, so emigrants leave in that order, with a box test while
+        it stays where its route holds.  After a map adoption it also
+        routes each device whose halo index box
         (:meth:`~repro.shard.partition.TilePartition.index_box`) holds
         a tile that changed owner: ``route`` reads the map nowhere
-        else.  A stationary device that did none of this keeps its
-        route, so it still owns itself and its ghosts stay kept
-        entries of the maintained export record.
+        else.  Every device arrived with its route, so a stationary
+        device that did none of this keeps it: it still owns itself,
+        and its ghosts stay kept entries of the maintained export
+        record.
         """
         exchange = ShardExchange()
         kept = exchange.kept
@@ -448,9 +462,9 @@ class ShardSim:
         halo = self.config.halo
         scan_events = self._scan_events
         routes = self._routes
+        exported = self._exported
         walkers = self._walkers
         owned = self.owned
-        arrivals = self._arrivals
         tiles_x = self.partition.tiles_x
         # (column, row) of each tile that changed owner
         remapped = [(tile % tiles_x, tile // tiles_x)
@@ -458,8 +472,6 @@ class ShardSim:
         index_box = self.partition.index_box
         emigrants: list[str] = []
         for device_id, node in walkers.items():
-            if device_id in arrivals:
-                continue
             position = node.position
             x = position.x
             y = position.y
@@ -468,9 +480,10 @@ class ShardSim:
                     and not (remapped and _box_meets(index_box(x, y, halo),
                                                      remapped))):
                 tile = memo[4]
-                if memo[6]:
+                targets = exported.get(device_id)
+                if targets:
                     entry = (device_id, x, y)
-                    for target in memo[6]:
+                    for target in targets:
                         kept.append((target, entry))
             else:
                 tile = self._reroute(device_id, owned[device_id], True,
@@ -483,37 +496,27 @@ class ShardSim:
         if remapped:
             for box, members in self._still_boxes.items():
                 if _box_meets(box, remapped):
-                    rerouted.update((device_id, None) for device_id in members
-                                    if device_id not in arrivals)
+                    rerouted.update(dict.fromkeys(members))
         for device_id in rerouted:
             self._reroute(device_id, owned[device_id], False, exchange,
                           emigrants)
-        still_kept = None if rerouted else self._still_kept
-        for device_id in arrivals:
-            walker = device_id in walkers
-            tile = self._reroute(device_id, owned[device_id], walker,
-                                 exchange, emigrants)
-            if not walker:
-                still_kept = None
-            elif rebalance:
-                tile_loads[tile] = (tile_loads.get(tile, 0) + 1
-                                    + scan_events.get(device_id, 0))
         if rerouted and emigrants:
             # The stationary pass broke owned order.
             leaving = set(emigrants)
             emigrants = [device_id for device_id in owned
                          if device_id in leaving]
-        if still_kept is None:
+        still_kept = self._still_kept
+        if rerouted or still_kept is None:
             # Rebuild the stationary exports' kept entries; the routed
             # ones shipped theirs from ``_reroute`` at this edge.
             still_kept = []
-            for device_id, targets in self._exported.items():
+            for device_id, targets in exported.items():
                 if device_id in walkers:
                     continue
                 state = owned[device_id]
                 entry = (device_id, state.x, state.y)
                 entries = [(target, entry) for target in targets]
-                if device_id not in arrivals and device_id not in rerouted:
+                if device_id not in rerouted:
                     kept.extend(entries)
                 still_kept.extend(entries)
             self._still_kept = still_kept
@@ -526,7 +529,6 @@ class ShardSim:
                     tile_loads[tile] = (tile_loads.get(tile, 0) + count
                                         + still_scans[tile])
             self._still_scans = [0] * len(still_scans)
-        self._arrivals = {}
         self._remapped = set()
         self._emigrant_ids = emigrants
         self.migrations_out += len(emigrants)
@@ -540,39 +542,46 @@ class ShardSim:
         """Route one owned device afresh into ``exchange`` and return
         its tile.
 
-        A walker that stays keeps a box memo: the old box when the
-        device is still inside it (only the map changed), else a new
-        one.
+        A walker keeps its route memo while it is still inside the box
+        (only the map changed), else takes a new one; an emigrant's
+        memo travels with its migration.  An emigrant's ghost export to
+        this shard is a kept entry: the node stays here as its ghost.
         """
         position = self.world.node(device_id).position
         x = state.x = position.x
         y = state.y = position.y
         halo = self.config.halo
         partition = self.partition
-        tile, owner, targets = partition.route(x, y, halo)
+        route = None
+        if not walker:
+            tile, owner, targets = partition.route(x, y, halo)
+        else:
+            route = self._routes[device_id]
+            if route[0] <= x <= route[1] and route[2] <= y <= route[3]:
+                tile, owner, targets = partition.route(x, y, halo)
+            else:
+                tile, owner, targets, box = partition.route_with_box(
+                    x, y, halo)
+                route = (*box, tile)
         if targets == (owner,):
             targets = ()
         else:
             targets = tuple(target for target in targets if target != owner)
-        if owner != self.shard_id:
-            exchange.migrations.append((owner, state, targets))
+        shard_id = self.shard_id
+        if owner != shard_id:
+            exchange.migrations.append((owner, state, targets, route))
             emigrants.append(device_id)
         elif walker:
-            memo = self._routes.get(device_id)
-            if (memo is not None and memo[0] <= x <= memo[1]
-                    and memo[2] <= y <= memo[3]):
-                box = memo[:4]
-            else:
-                box = partition.route_box(x, y, halo)
-            self._routes[device_id] = (*box, tile, owner, targets)
+            self._routes[device_id] = route
         exported = self._exported
         held = exported.get(device_id, ())
         if targets:
             kept = exchange.kept
             snapshots = exchange.snapshots
+            entry = (device_id, x, y)
             for target in targets:
-                if target in held:
-                    kept.append((target, (device_id, x, y)))
+                if target in held or target == shard_id:
+                    kept.append((target, entry))
                 else:
                     snapshots.append((target, state))
             exported[device_id] = targets
@@ -604,53 +613,70 @@ class ShardSim:
             in enumerate(zip(old, self.partition.tile_map, strict=True))
             if was != now)
 
-    def apply_exchange(self,
-                       immigrants: list[tuple[DeviceState, tuple[int, ...]]],
+    def apply_exchange(self, immigrants: list[OwnedDevice],
                        snapshots: list[DeviceState],
                        kept: list[KeptGhost],
                        tile_map: tuple[int, ...] | None = None) -> None:
         """Install the coordinator's routed border traffic.
 
         Each immigrant comes with the shards its old owner exported it
-        to at this edge, which hold its replica from now on: this
-        shard's next edge sends them kept entries, not snapshots.
-        This window's ghosts are the snapshots plus the kept entries;
-        any other ghost is dropped.  Removals run before additions so
-        a device converting between owned and ghost (either direction)
-        passes through a clean remove/insert; each is one batch per
-        layer (``World.remove_nodes``/``add_nodes``,
-        ``Medium.detach_all``/``attach_all``), so the world notifies
-        and the medium starts a new topology version once per batch,
-        not once per device.  A kept entry's ghost keeps its live
-        local replica untouched: it is bit-identical by the exactness
-        invariant, which ``verify_ghosts`` checks against the
-        exporter's position.  A snapshot's ghost is never held already,
-        since an export record moves with its device.  A
-        non-``None`` ``tile_map`` is adopted *after* the install: the
-        incoming traffic was routed under the old map, and the new one
-        governs the next window.
+        to at this edge, which hold its replica from now on, and with
+        its route there: this shard's next edge sends those shards
+        kept entries, and routes the immigrant again only as it would
+        any owned device.  This window's ghosts are the snapshots plus
+        the kept entries; any other ghost is dropped.
+
+        A device enters or leaves this world only when it enters or
+        leaves this shard's halo.  An emigrant with a kept entry here
+        stays as a ghost, and an immigrant held here as a ghost is
+        taken over in place: either way its node, its live model and
+        its medium attachment stay untouched.  The rest move in one
+        batch per layer, removals first (``World.remove_nodes``/
+        ``add_nodes``, ``Medium.detach_all``/``attach_all``), so the
+        world notifies and the medium starts a new topology version
+        once per batch, not once per device.  A held replica is
+        bit-identical to the owner's copy by the exactness invariant,
+        which ``verify_ghosts`` checks against the position the
+        exporter or the old owner reports.  A snapshot's device is
+        never in this world already, since an export record moves with
+        its device.  A non-``None`` ``tile_map`` is adopted *after*
+        the install: the incoming traffic was routed under the old
+        map, and the new one governs the next window.
         """
-        fresh_ghost_ids = {state.device_id for state in snapshots}
-        fresh_ghost_ids.update([device_id for device_id, _, _ in kept])
+        verify = self.config.verify_ghosts
+        held = {device_id for device_id, _, _ in kept}
         ghosts = self.ghosts
-        emigrants = self._emigrant_ids
-        for device_id in emigrants:
-            self._disown(device_id)
-        dropped = [ghost_id for ghost_id in ghosts
-                   if ghost_id not in fresh_ghost_ids]
-        self._uninstall(emigrants + dropped)
+        leaving = []
+        for device_id in self._emigrant_ids:
+            state = self._disown(device_id)
+            if device_id in held:
+                ghosts[device_id] = state
+            else:
+                leaving.append(device_id)
+        self._emigrant_ids = []
+        arriving: list[OwnedDevice] = []
+        fresh: list[DeviceState] = []
+        for state, targets, route in immigrants:
+            device_id = state.device_id
+            if device_id in ghosts:
+                if verify:
+                    self._verify_replica(device_id, state.x, state.y)
+                state = ghosts.pop(device_id)
+            else:
+                fresh.append(state)
+            arriving.append((state, targets, route))
+        dropped = [ghost_id for ghost_id in ghosts if ghost_id not in held]
+        self._uninstall(leaving + dropped)
         for device_id in dropped:
             del ghosts[device_id]
-        self._emigrant_ids = []
-        self._install([state for state, _ in immigrants], self.owned)
-        exported = self._exported
-        for state, targets in immigrants:
-            if targets:
-                exported[state.device_id] = targets
-        if self.config.verify_ghosts:
+        self._install(fresh)
+        self._own(arriving)
+        if verify:
             for device_id, x, y in kept:
                 self._verify_replica(device_id, x, y)
-        self._install(snapshots, ghosts)
+        self._install(snapshots)
+        for state in snapshots:
+            ghosts[state.device_id] = state
         if tile_map is not None:
             self.adopt_tile_map(tile_map)
 

@@ -12,12 +12,12 @@ A partition answers two questions for the sharded engine:
   owner exports its state there at the window edge.
 
 The engine asks both questions, plus the tile a device stands in, in
-one ``route(x, y, halo)`` call.  For a walker it also asks
-``route_box(x, y, halo)``: the box of positions around it where that
-answer cannot change, so the walker is routed again only once it
-leaves the box.  ``index_box(x, y, halo)`` names the tiles the answer
-reads the map at, so after a map change only a device whose index
-box holds a reassigned tile is routed again.
+one ``route(x, y, halo)`` call.  For a walker it asks
+``route_with_box(x, y, halo)``, which adds the box of positions around
+it where that answer cannot change, so the walker is routed again only
+once it leaves the box.  ``index_box(x, y, halo)`` names the tiles the
+answer reads the map at, so after a map change only a device whose
+index box holds a reassigned tile is routed again.
 
 :class:`TilePartition` cuts the bounds into a grid of tiles with an
 explicit tile→shard map.  Ownership is two floor-divisions and a table
@@ -108,7 +108,7 @@ class TilePartition:
 
     __slots__ = ("bounds", "shards", "tiles_x", "tiles_y", "tile_width",
                  "tile_height", "tile_map", "_one_owner", "_owners",
-                 "_intervals")
+                 "_spans")
 
     def __init__(self, bounds: Rect, shards: int,
                  tiles: tuple[int, int],
@@ -145,11 +145,12 @@ class TilePartition:
         #: ``(column_lo, column_hi, row_lo, row_hi)`` -> the sorted
         #: owners of that index box under this map.
         self._owners: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
-        #: ``(axis, shift, index)`` -> the floats on that axis, inside
-        #: the bounds, at which the index of ``u + shift`` is
-        #: ``index``.  Grid geometry only: a copy under a new map
-        #: shares it.
-        self._intervals: dict[tuple[int, float, int], tuple[float, float]] = {}
+        #: ``(axis, halo, (index, index_lo, index_hi))`` -> the floats
+        #: on that axis, inside the bounds, at which the indices of
+        #: ``u``, ``u - halo`` and ``u + halo`` are that triple.  Grid
+        #: geometry only: a copy under a new map shares it.
+        self._spans: dict[tuple[int, float, tuple[int, int, int]],
+                          tuple[float, float]] = {}
 
     # -- grid arithmetic ---------------------------------------------------
 
@@ -203,38 +204,52 @@ class TilePartition:
               halo: float) -> tuple[int, int, tuple[int, ...]]:
         """``(tile_index, owner_at, ghost_shards)`` in one pass.
 
-        The six column/row indices are :func:`_grid_index` written out
-        inline, the same floor arithmetic as the separate calls.  When
-        the halo box's indices stay inside the tile's 3x3 neighbourhood
-        and one shard owns all of it, the ghost set is the owner alone;
-        any other index box looks its owners up once per map.
+        The six column/row indices come from :func:`_axis_indices`,
+        the same floor arithmetic as the separate calls.  When the halo
+        box's indices stay inside the tile's 3x3 neighbourhood and one
+        shard owns all of it, the ghost set is the owner alone; any
+        other index box looks its owners up once per map.
         """
         if halo < 0.0:
             raise ValueError(f"halo must be non-negative, got {halo!r}")
         bounds = self.bounds
-        min_x = bounds.min_x
-        min_y = bounds.min_y
-        width = self.tile_width
-        height = self.tile_height
-        last_column = self.tiles_x - 1
-        last_row = self.tiles_y - 1
-        column = int((x - min_x) // width)
-        column = (0 if column < 0 else
-                  last_column if column > last_column else column)
-        row = int((y - min_y) // height)
-        row = 0 if row < 0 else last_row if row > last_row else row
+        return self._answer(
+            _axis_indices(x, halo, bounds.min_x, self.tile_width,
+                          self.tiles_x - 1),
+            _axis_indices(y, halo, bounds.min_y, self.tile_height,
+                          self.tiles_y - 1))
+
+    def route_with_box(self, x: float, y: float, halo: float,
+                       ) -> tuple[int, int, tuple[int, ...],
+                                  tuple[float, float, float, float]]:
+        """``route``'s answer and ``route_box``'s, from one set of
+        indices: a walker's route and the box in which it holds.
+
+        Per axis the box is the span of floats with the same index
+        triple (of ``u``, ``u - halo`` and ``u + halo``), found once
+        per grid, halo and triple, so a box costs two cache reads past
+        the indices ``route`` computes.  ``(x, y)`` must lie inside the
+        bounds.
+        """
+        if halo < 0.0:
+            raise ValueError(f"halo must be non-negative, got {halo!r}")
+        bounds = self.bounds
+        columns = _axis_indices(x, halo, bounds.min_x, self.tile_width,
+                                self.tiles_x - 1)
+        rows = _axis_indices(y, halo, bounds.min_y, self.tile_height,
+                             self.tiles_y - 1)
+        lo_x, hi_x = self._span(0, x, halo, columns)
+        lo_y, hi_y = self._span(1, y, halo, rows)
+        return (*self._answer(columns, rows), (lo_x, hi_x, lo_y, hi_y))
+
+    def _answer(self, columns: tuple[int, int, int],
+                rows: tuple[int, int, int],
+                ) -> tuple[int, int, tuple[int, ...]]:
+        """The route read off the column and row index triples."""
+        column, column_lo, column_hi = columns
+        row, row_lo, row_hi = rows
         tile = row * self.tiles_x + column
         owner = self.tile_map[tile]
-        column_lo = int((x - halo - min_x) // width)
-        column_lo = (0 if column_lo < 0 else
-                     last_column if column_lo > last_column else column_lo)
-        column_hi = int((x + halo - min_x) // width)
-        column_hi = (0 if column_hi < 0 else
-                     last_column if column_hi > last_column else column_hi)
-        row_lo = int((y - halo - min_y) // height)
-        row_lo = 0 if row_lo < 0 else last_row if row_lo > last_row else row_lo
-        row_hi = int((y + halo - min_y) // height)
-        row_hi = 0 if row_hi < 0 else last_row if row_hi > last_row else row_hi
         if (self._one_owner[tile] and column - 1 <= column_lo
                 and column_hi <= column + 1 and row - 1 <= row_lo
                 and row_hi <= row + 1):
@@ -255,7 +270,9 @@ class TilePartition:
         at them alone, so its answer changes with the map only where
         one of them changes owner.  The box does not depend on the
         map.  The four indices are :func:`_grid_index` written out
-        inline, as in ``route``.
+        inline, as in :func:`_axis_indices`: a map adoption asks for
+        the box of every walker and of every stationary device that
+        arrives or leaves.
         """
         bounds = self.bounds
         min_x = bounds.min_x
@@ -286,36 +303,42 @@ class TilePartition:
         the coordinate ``u``, of ``u - halo`` and of ``u + halo``.
         Each is monotone in ``u``, so the floats that keep one index
         form an interval, and the box is the intersection of the six.
-        Each interval is found once per grid and halo with the same
-        arithmetic (:func:`_index_interval`), not a margin, so the box
-        is exact: its edge keeps the answer, the next float past it
-        changes an index, and it never leaves the bounds.  ``(x, y)``
-        must lie inside the bounds.
+        Each interval is found with the same arithmetic
+        (:func:`_index_interval`), not a margin, so the box is exact:
+        its edge keeps the answer, the next float past it changes an
+        index, and it never leaves the bounds.  ``(x, y)`` must lie
+        inside the bounds.
         """
         bounds = self.bounds
         if not (bounds.min_x <= x <= bounds.max_x
                 and bounds.min_y <= y <= bounds.max_y):
             raise ValueError(f"({x!r}, {y!r}) lies outside {bounds!r}")
-        return (*self._span(0, x, halo, bounds.min_x, bounds.max_x,
-                            self.tile_width, self.tiles_x - 1),
-                *self._span(1, y, halo, bounds.min_y, bounds.max_y,
-                            self.tile_height, self.tiles_y - 1))
+        return self.route_with_box(x, y, halo)[3]
 
-    def _span(self, axis: int, value: float, halo: float, low: float,
-              high: float, step: float, last: int) -> tuple[float, float]:
-        """The floats around ``value`` on one axis that keep the
-        indices of ``u``, ``u - halo`` and ``u + halo``."""
+    def _span(self, axis: int, value: float, halo: float,
+              indices: tuple[int, int, int]) -> tuple[float, float]:
+        """The floats on one axis, inside the bounds, whose indices of
+        ``u``, ``u - halo`` and ``u + halo`` are ``indices``, as at
+        ``value``: the intersection of the three index intervals."""
+        key = (axis, halo, indices)
+        span = self._spans.get(key)
+        if span is not None:
+            return span
+        bounds = self.bounds
+        if axis == 0:
+            low, high = bounds.min_x, bounds.max_x
+            step, last = self.tile_width, self.tiles_x - 1
+        else:
+            low, high = bounds.min_y, bounds.max_y
+            step, last = self.tile_height, self.tiles_y - 1
         lo, hi = low, high
-        for shift in (0.0, -halo, halo):
-            index = _grid_index(value + shift, low, step, last)
-            key = (axis, shift, index)
-            interval = self._intervals.get(key)
-            if interval is None:
-                interval = self._intervals[key] = _index_interval(
-                    value, shift, index, low, high, step, last)
+        for shift, index in zip((0.0, -halo, halo), indices, strict=True):
+            interval = _index_interval(value, shift, index, low, high, step,
+                                       last)
             lo = max(lo, interval[0])
             hi = min(hi, interval[1])
-        return lo, hi
+        span = self._spans[key] = (lo, hi)
+        return span
 
     def _box_owners(self, column_lo: int, column_hi: int, row_lo: int,
                     row_hi: int) -> tuple[int, ...]:
@@ -347,7 +370,7 @@ class TilePartition:
         """A copy of this partition under a new tile→shard map."""
         partition = TilePartition(self.bounds, self.shards,
                                   (self.tiles_x, self.tiles_y), tile_map)
-        partition._intervals = self._intervals
+        partition._spans = self._spans
         return partition
 
     def __repr__(self) -> str:
@@ -364,6 +387,20 @@ def _grid_index(value: float, origin: float, step: float, last: int) -> int:
     if index < 0:
         return 0
     return last if index > last else index
+
+
+def _axis_indices(value: float, halo: float, origin: float, step: float,
+                  last: int) -> tuple[int, int, int]:
+    """The clamped floor indices of ``value``, ``value - halo`` and
+    ``value + halo`` on one axis: :func:`_grid_index` written out three
+    times, for the routing calls."""
+    index = int((value - origin) // step)
+    index = 0 if index < 0 else last if index > last else index
+    index_lo = int((value - halo - origin) // step)
+    index_lo = 0 if index_lo < 0 else last if index_lo > last else index_lo
+    index_hi = int((value + halo - origin) // step)
+    index_hi = 0 if index_hi < 0 else last if index_hi > last else index_hi
+    return index, index_lo, index_hi
 
 
 def _index_interval(value: float, shift: float, index: int, low: float,

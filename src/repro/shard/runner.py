@@ -52,12 +52,14 @@ from multiprocessing.connection import Connection
 from typing import TypeVar
 
 from repro.mobility.geometry import Rect
+from repro.mobility.models import Stationary
 from repro.radio.medium import Medium
 from repro.shard.balance import REBALANCE_THRESHOLD, rebalance_map
 from repro.shard.devices import (DeviceState, build_clustered_crowd,
                                  build_crowd)
-from repro.shard.engine import (SHARD_TECH, KeptGhost, LogEntry, ShardConfig,
-                                ShardSim, shard_technology)
+from repro.shard.engine import (SHARD_TECH, KeptGhost, LogEntry, OwnedDevice,
+                                ShardConfig, ShardSim, WalkerRoute,
+                                shard_technology)
 from repro.shard.partition import halo_width, spec_for
 from repro.simenv.environment import Environment
 from repro.mobility.world import World
@@ -298,56 +300,63 @@ def _clone(value: _T) -> _T:
     return pickle.loads(pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL))
 
 
-#: One shard's start: owned devices, ghost replicas, and the ghost
-#: targets each owned device was exported to (device id -> shards).
-Split = tuple[list[DeviceState], list[DeviceState], dict[str, tuple[int, ...]]]
+#: One shard's start: owned devices (each with its ghost targets and
+#: route) and ghost replicas.
+Split = tuple[list[OwnedDevice], list[DeviceState]]
 
 #: One shard's outgoing traffic: migrations (each with its ghost
-#: targets), snapshots, kept ghosts.
-Exports = tuple[list[tuple[int, DeviceState, tuple[int, ...]]],
+#: targets and route), snapshots, kept ghosts.
+Exports = tuple[list[tuple[int, DeviceState, tuple[int, ...],
+                           WalkerRoute | None]],
                 list[tuple[int, DeviceState]], list[tuple[int, KeptGhost]]]
 
 #: One shard's incoming traffic: immigrants (each with its ghost
-#: targets), snapshots, kept ghosts.
-Bundle = tuple[list[tuple[DeviceState, tuple[int, ...]]], list[DeviceState],
-               list[KeptGhost]]
+#: targets and route), snapshots, kept ghosts.
+Bundle = tuple[list[OwnedDevice], list[DeviceState], list[KeptGhost]]
 
 
 def _initial_split(config: ShardConfig,
                    devices: list[DeviceState]) -> list[Split]:
-    """Per-shard (owned, ghosts, exported) for t=0.
+    """Per-shard (owned, ghosts) for t=0.
 
     A device is routed and shipped where the world will put it: a
     position outside the bounds is clamped into them, as
-    ``World.add_node`` does.
+    ``World.add_node`` does.  Its owner gets it with the route found
+    here: its ghost targets and, for a walker, the box in which that
+    route holds, so the first window edge routes only what moved out
+    of its box.
     """
     bounds = config.bounds
+    halo = config.halo
     partition = config.partition.build(bounds, config.shards)
-    split: list[Split] = [([], [], {}) for _ in range(config.shards)]
+    split: list[Split] = [([], []) for _ in range(config.shards)]
     for state in devices:
         position = state.position()
         clamped = bounds.clamp(position)
         if clamped is not position:
             state = replace(state, x=clamped.x, y=clamped.y)
-        _, owner, targets = partition.route(state.x, state.y, config.halo)
-        split[owner][0].append(state)
+        route: WalkerRoute | None = None
+        if state.model is None or type(state.model) is Stationary:
+            _, owner, targets = partition.route(state.x, state.y, halo)
+        else:
+            tile, owner, targets, box = partition.route_with_box(
+                state.x, state.y, halo)
+            route = (*box, tile)
         ghost_targets = tuple(target for target in targets
                               if target != owner)
-        if ghost_targets:
-            split[owner][2][state.device_id] = ghost_targets
+        split[owner][0].append((state, ghost_targets, route))
         for target in ghost_targets:
             split[target][1].append(state)
     # Each shard's ghosts are copies: one pickle round trip per shard.
-    return [(owned, _clone(ghosts), exported)
-            for owned, ghosts, exported in split]
+    return [(owned, _clone(ghosts)) for owned, ghosts in split]
 
 
 def _route(exchanges: list[Exports], shards: int) -> list[Bundle]:
     """Gather/scatter: bundle every shard's exports per destination."""
     bundles: list[Bundle] = [([], [], []) for _ in range(shards)]
     for migrations, snapshots, kept in exchanges:
-        for target, state, ghost_targets in migrations:
-            bundles[target][0].append((state, ghost_targets))
+        for target, state, ghost_targets, route in migrations:
+            bundles[target][0].append((state, ghost_targets, route))
         for target, state in snapshots:
             bundles[target][1].append(state)
         for target, entry in kept:
@@ -455,11 +464,11 @@ def _worker_report(sim: ShardSim) -> dict:
 
 
 def _shard_worker(conn: Connection, config: ShardConfig, shard_id: int,
-                  owned: list[DeviceState], ghosts: list[DeviceState],
-                  exported: dict[str, tuple[int, ...]]) -> None:
+                  owned: list[OwnedDevice],
+                  ghosts: list[DeviceState]) -> None:
     """Worker-process entry point: lockstep windows over the pipe."""
     try:
-        sim = ShardSim(config, shard_id, owned, ghosts, exported)
+        sim = ShardSim(config, shard_id, owned, ghosts)
         ghost_peak = len(sim.ghosts)
         boundaries = config.boundaries()
         busy = 0.0
@@ -563,6 +572,9 @@ class ShardedRunner:
                     stats: _WindowStats) -> list[dict]:
         sims = [ShardSim(self.config, shard_id, *start)
                 for shard_id, start in enumerate(split)]
+        # The sims hold what they keep of the split; its per-device
+        # entries would otherwise live as long as the run.
+        split.clear()
         ghost_peaks = [len(sim.ghosts) for sim in sims]
         busy = [0.0] * len(sims)
         boundaries = self.config.boundaries()
@@ -591,7 +603,7 @@ class ShardedRunner:
             # another shard.  Kept entries are immutable tuples and
             # pass through.  Not one round trip per exporting
             # exchange: a state that migrates to one shard and is a
-            # ghost snapshot for another would come out of it as one
+            # ghost snapshot for a third would come out of it as one
             # object that both shards hold.
             bundles = [(*_clone((immigrants, snapshots)), kept)
                        if immigrants or snapshots
@@ -630,6 +642,7 @@ class ShardedRunner:
                 child_conn.close()
                 workers.append(process)
                 pipes.append(parent_conn)
+            split.clear()  # each worker has its own copy
             boundaries = self.config.boundaries()
             for _ in range(len(boundaries) - 1):
                 exchanges = [self._recv(conn, "exchange") for conn in pipes]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Callable
+from functools import partial
 from typing import Any
 
 from repro.simenv.environment import Environment
@@ -23,16 +24,19 @@ class PeriodicTimer:
             raise ValueError(f"interval must be positive, got {interval!r}")
         self._env = env
         self._interval = interval
-        #: ``None`` once stopped.
-        self._callback: Callable[[], Any] | None = callback
-        self._event: Event | None = None
         self.fire_count = 0
-        self._schedule_next()
+        #: The pending firing; ``None`` once stopped.  Its callback, made
+        #: once and handed from each fired event to the next, alone
+        #: holds the owner's callback, which is often a method of the
+        #: timer's owner: a stopped timer, or one whose event the
+        #: environment dropped on close, forms no cycle with its owner.
+        self._event: Event | None = env.call_in(
+            interval, partial(self._fire, callback))
 
     @property
     def running(self) -> bool:
         """Whether the timer will fire again."""
-        return self._callback is not None
+        return self._event is not None
 
     @property
     def interval(self) -> float:
@@ -40,24 +44,14 @@ class PeriodicTimer:
         return self._interval
 
     def stop(self) -> None:
-        """Cancel the pending firing; the timer never fires again.
-
-        It lets go of its callback, which is often a method of the
-        timer's owner: a stopped timer and its owner form no cycle.
-        """
-        self._callback = None
+        """Cancel the pending firing; the timer never fires again."""
         if self._event is not None:
             self._event.cancel()
             self._event = None
 
-    def _schedule_next(self) -> None:
-        self._event = self._env.call_in(self._interval, self._fire)
-
-    def _fire(self) -> None:
-        callback = self._callback
-        if callback is None:
-            return
+    def _fire(self, callback: Callable[[], Any]) -> None:
         self.fire_count += 1
         callback()
-        if self._callback is not None:
-            self._schedule_next()
+        event = self._event
+        if event is not None:
+            self._event = self._env.call_in(self._interval, event.callback)

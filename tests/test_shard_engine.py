@@ -21,6 +21,8 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.mobility.geometry import Point, Rect
+from repro.mobility.models import Stationary
+from repro.mobility.world import World
 from repro.shard import (ShardWorkload, ShardedRunner, clustered_workload,
                          compare_results, crowd_workload,
                          interaction_digests, reference_run)
@@ -484,7 +486,7 @@ def test_run_window_schedules_exactly_the_slots_in_the_window(times, phases,
     devices = [DeviceState(device_id=f"d{index}", x=10.0, y=10.0,
                            scan_phase=phase)
                for index, phase in enumerate(phases)]
-    sim = ShardSim(config, 0, devices, [], {})
+    sim = ShardSim(config, 0, [(device, (), None) for device in devices], [])
     pushed: list[tuple[float, list[str]]] = []
     sim.env.call_at = lambda when, callback, device_ids: pushed.append(
         (when, list(device_ids)))
@@ -559,24 +561,29 @@ def full_walk_exchange(sim: ShardSim, since: float) -> dict:
     Routes every owned device where it stands, in owned order, against
     the ghost targets the previous edge exported it to, and books each
     device ``1 +`` the scan events its log shows since ``since`` to the
-    tile it stands in.
+    tile it stands in.  A migrating walker carries its route box and
+    tile; an emigrant's export to this shard, which keeps its node, is
+    a kept entry.
     """
     halo = sim.config.halo
     migrations, snapshots, kept, emigrants = [], [], set(), []
     loads: dict[int, int] = {}
     for device_id in sim.owned:
-        position = sim.world.node(device_id).position
-        x, y = position.x, position.y
+        node = sim.world.node(device_id)
+        x, y = node.position.x, node.position.y
         tile, owner, targets = sim.partition.route(x, y, halo)
         if owner != sim.shard_id:
+            route = None
+            if type(node.model) is not Stationary:
+                route = (*sim.partition.route_box(x, y, halo), tile)
             migrations.append((owner, device_id, x, y, tuple(
-                target for target in targets if target != owner)))
+                target for target in targets if target != owner), route))
             emigrants.append(device_id)
         held = sim._exported.get(device_id, ())
         for target in targets:
             if target == owner:
                 continue
-            if target in held:
+            if target in held or target == sim.shard_id:
                 kept.add((target, (device_id, x, y)))
             else:
                 snapshots.append((target, device_id, x, y))
@@ -602,8 +609,10 @@ def _spy_edges(monkeypatch) -> list[tuple[dict, dict]]:
         assert len(set(exchange.kept)) == len(exchange.kept)
         pairs.append((expected, {
             "migrations": sorted(
-                (target, state.device_id, state.x, state.y, ghost_targets)
-                for target, state, ghost_targets in exchange.migrations),
+                (target, state.device_id, state.x, state.y, ghost_targets,
+                 route)
+                for target, state, ghost_targets, route
+                in exchange.migrations),
             "snapshots": sorted((target, state.device_id, state.x, state.y)
                                 for target, state in exchange.snapshots),
             "kept": set(exchange.kept), "emigrants": list(sim._emigrant_ids),
@@ -780,12 +789,18 @@ def _index_box_tiles(sim: ShardSim, x: float, y: float) -> set[int]:
             for row in rows for column in columns}
 
 
+#: A rebalancing run with an edge that sends immigrants or snapshots to
+#: each of its three shards.
+FAN_OUT_EDGES = ShardedRunner(CLUSTERED, 3, processes=False,
+                              partition="tile", rebalance=True)
+
+
 class TestBatchedEdge:
     def test_edge_routes_only_what_the_map_or_a_move_changed(self,
                                                              monkeypatch):
-        """An edge routes exactly the arrivals, the walkers out of their
-        box and the devices whose index box holds a reassigned tile;
-        ``route`` runs once for each."""
+        """An edge routes exactly the walkers out of their box and the
+        devices whose index box holds a reassigned tile; ``route`` or
+        ``route_with_box`` runs once for each."""
         remapped: dict[int, set[int]] = {}
         adopt = ShardSim.adopt_tile_map
 
@@ -805,22 +820,27 @@ class TestBatchedEdge:
 
         route_calls = [0]
         route = TilePartition.route
+        route_with_box = TilePartition.route_with_box
 
         def counting(partition, x, y, halo):
             route_calls[0] += 1
             return route(partition, x, y, halo)
+
+        def counting_with_box(partition, x, y, halo):
+            route_calls[0] += 1
+            return route_with_box(partition, x, y, halo)
 
         collect = ShardSim.collect_exchange
         checked = []
 
         def pinned(sim):
             changed = remapped.pop(sim.shard_id, set())
-            expected = set(sim._arrivals)
+            expected = set()
             by_map = set()
             for device_id in sim.owned:
                 position = sim.world.node(device_id).position
                 x, y = position.x, position.y
-                if device_id in sim._walkers and device_id not in expected:
+                if device_id in sim._walkers:
                     lo_x, hi_x, lo_y, hi_y = sim._routes[device_id][:4]
                     if not (lo_x <= x <= hi_x and lo_y <= y <= hi_y):
                         expected.add(device_id)
@@ -841,6 +861,8 @@ class TestBatchedEdge:
         monkeypatch.setattr(ShardSim, "adopt_tile_map", adopting)
         monkeypatch.setattr(ShardSim, "_reroute", rerouting)
         monkeypatch.setattr(TilePartition, "route", counting)
+        monkeypatch.setattr(TilePartition, "route_with_box",
+                            counting_with_box)
         monkeypatch.setattr(ShardSim, "collect_exchange", pinned)
         _remap(monkeypatch, BUSY_REMAPS)
         result = BUSY_EDGES.run()
@@ -852,7 +874,8 @@ class TestBatchedEdge:
     def test_inline_edge_clones_once_per_destination(self, monkeypatch):
         """Each destination's immigrants and snapshots arrive as one
         pickle round trip's output, and no two shards ever hold one
-        state or model object."""
+        state or model object.  ``FAN_OUT_EDGES`` reaches an edge that
+        sends traffic to every shard."""
         cloned: list[tuple] = []
         clone = runner_module._clone
 
@@ -871,8 +894,8 @@ class TestBatchedEdge:
             assert any(copy[0] is immigrants and copy[1] is snapshots
                        for copy in cloned) == bool(immigrants or snapshots)
             apply(sim, immigrants, snapshots, kept, tile_map)
-            if sim.shard_id == BUSY_EDGES.shards - 1:
-                assert len(cloned) <= BUSY_EDGES.shards
+            if sim.shard_id == FAN_OUT_EDGES.shards - 1:
+                assert len(cloned) <= FAN_OUT_EDGES.shards
                 edges.append(len(cloned))
                 cloned.clear()
                 held = [state for shard in sims.values()
@@ -885,5 +908,183 @@ class TestBatchedEdge:
 
         monkeypatch.setattr(runner_module, "_clone", cloning)
         monkeypatch.setattr(ShardSim, "apply_exchange", applying)
-        BUSY_EDGES.run()
-        assert edges and max(edges) == BUSY_EDGES.shards
+        FAN_OUT_EDGES.run()
+        assert edges and max(edges) == FAN_OUT_EDGES.shards
+
+
+# -- a device keeps what it has across a shard edge ---------------------------
+
+#: A hotspot crowd on two shards whose first rebalance, at the first
+#: edge, moves tiles: the second edge migrates their devices, some still
+#: inside the old owner's halo and some held by the new owner as ghosts,
+#: and walkers cross the border later on.
+HANDOVER = ShardedRunner(
+    clustered_workload(120, seed=13, sim_seconds=8.0, clusters=4,
+                       center_spread=0.05, center_spread_y=0.3,
+                       scan_interval=2.0, window=1.0),
+    2, processes=False, partition="tile", rebalance=True,
+    verify_ghosts=True)
+
+
+def _spy_removals(monkeypatch) -> dict[int, list[str]]:
+    """Record the ids each world passes through ``World.remove_nodes``,
+    keyed by the world's ``id``."""
+    removed: dict[int, list[str]] = {}
+    remove_nodes = World.remove_nodes
+
+    def removing(world, node_ids):
+        node_ids = list(node_ids)
+        removed.setdefault(id(world), []).extend(node_ids)
+        return remove_nodes(world, node_ids)
+
+    monkeypatch.setattr(World, "remove_nodes", removing)
+    return removed
+
+
+class TestHandover:
+    def test_edge_routes_only_devices_out_of_their_box_or_remapped(
+            self, monkeypatch):
+        """A route is found where its device stands, by the initial
+        split at t=0 and later by whichever shard routes the device, and
+        it holds in the exact box around that spot until the map changes
+        there.  No edge routes a device inside that box with no
+        reassigned tile in its index box: the first edge leaves the
+        constructor's walkers be, and the edge after a migration its
+        immigrants."""
+        halo = HANDOVER.config.halo
+        bounds = HANDOVER.workload.bounds
+        routed_at: dict[str, tuple[float, float]] = {}
+        for state in HANDOVER.workload.build_devices():
+            point = bounds.clamp(state.position())
+            routed_at[state.device_id] = (point.x, point.y)
+        remapped: dict[int, set[int]] = {}
+        adopt = ShardSim.adopt_tile_map
+
+        def adopting(sim, tile_map):
+            remapped.setdefault(sim.shard_id, set()).update(
+                tile for tile, (was, now)
+                in enumerate(zip(sim.partition.tile_map, tile_map,
+                                 strict=True)) if was != now)
+            return adopt(sim, tile_map)
+
+        routed: list[str] = []
+        reroute = ShardSim._reroute
+
+        def rerouting(sim, device_id, *args):
+            routed.append(device_id)
+            position = sim.world.node(device_id).position
+            routed_at[device_id] = (position.x, position.y)
+            return reroute(sim, device_id, *args)
+
+        arrived: dict[int, set[str]] = {}
+        apply = ShardSim.apply_exchange
+
+        def applying(sim, immigrants, *args):
+            arrived[sim.shard_id] = {immigrant[0].device_id
+                                     for immigrant in immigrants}
+            return apply(sim, immigrants, *args)
+
+        collect = ShardSim.collect_exchange
+        walkers_left_be: list[str] = []
+        immigrants_left_be: list[str] = []
+
+        def checking(sim):
+            changed = remapped.pop(sim.shard_id, set())
+            expected = set()
+            for device_id in sim.owned:
+                position = sim.world.node(device_id).position
+                x, y = position.x, position.y
+                lo_x, hi_x, lo_y, hi_y = sim.partition.route_box(
+                    *routed_at[device_id], halo)
+                if (not (lo_x <= x <= hi_x and lo_y <= y <= hi_y)
+                        or changed & _index_box_tiles(sim, x, y)):
+                    expected.add(device_id)
+            if sim.env.now == HANDOVER.config.window:
+                walkers_left_be.extend(
+                    device_id for device_id in sim.owned
+                    if device_id not in expected and type(
+                        sim.world.node(device_id).model) is not Stationary)
+            immigrants_left_be.extend(arrived.pop(sim.shard_id, set())
+                                      - expected)
+            routed.clear()
+            exchange = collect(sim)
+            assert sorted(routed) == sorted(expected)
+            return exchange
+
+        monkeypatch.setattr(ShardSim, "adopt_tile_map", adopting)
+        monkeypatch.setattr(ShardSim, "_reroute", rerouting)
+        monkeypatch.setattr(ShardSim, "apply_exchange", applying)
+        monkeypatch.setattr(ShardSim, "collect_exchange", checking)
+        sharded = HANDOVER.run()
+        # Guard the guard: the first edge met walkers in their boxes, and
+        # a later one immigrants in theirs.
+        assert walkers_left_be and immigrants_left_be
+        assert sharded.tiles_migrated > 0
+
+    def test_emigrant_in_its_old_owners_halo_keeps_its_node(self,
+                                                            monkeypatch):
+        """An emigrant that its old owner still needs as a ghost stays
+        in that world as the node it was: it never passes through
+        ``World.remove_nodes``.  One that left the halo leaves the
+        world."""
+        removed = _spy_removals(monkeypatch)
+        stayed: list[str] = []
+        apply = ShardSim.apply_exchange
+
+        def applying(sim, *args):
+            nodes = {device_id: sim.world.node(device_id)
+                     for device_id in sim._emigrant_ids}
+            apply(sim, *args)
+            for device_id, node in nodes.items():
+                if device_id in sim.ghosts:
+                    stayed.append(device_id)
+                    assert sim.world.node(device_id) is node
+                    assert device_id not in removed.get(id(sim.world), ())
+                else:
+                    assert device_id not in sim.world
+
+        monkeypatch.setattr(ShardSim, "apply_exchange", applying)
+        HANDOVER.run()
+        assert stayed
+
+    def test_no_snapshot_of_a_device_already_in_the_world(self,
+                                                          monkeypatch):
+        """A snapshot goes only to a shard that does not hold the
+        device, as an owned device or as a ghost."""
+        sent: list[str] = []
+        apply = ShardSim.apply_exchange
+
+        def applying(sim, immigrants, snapshots, *args):
+            assert [state.device_id for state in snapshots
+                    if state.device_id in sim.world] == []
+            sent.extend(state.device_id for state in snapshots)
+            return apply(sim, immigrants, snapshots, *args)
+
+        monkeypatch.setattr(ShardSim, "apply_exchange", applying)
+        HANDOVER.run()
+        assert sent
+
+    def test_immigrant_held_as_a_ghost_keeps_its_node(self, monkeypatch):
+        """An immigrant the new owner holds as a ghost is taken over in
+        place: the same node, so the same live model, now owned, and it
+        never passes through ``World.remove_nodes``."""
+        removed = _spy_removals(monkeypatch)
+        adopted: list[str] = []
+        apply = ShardSim.apply_exchange
+
+        def applying(sim, immigrants, *args):
+            held = {immigrant[0].device_id:
+                    sim.world.node(immigrant[0].device_id)
+                    for immigrant in immigrants
+                    if immigrant[0].device_id in sim.ghosts}
+            apply(sim, immigrants, *args)
+            for device_id, node in held.items():
+                assert sim.world.node(device_id) is node
+                assert sim.owned[device_id].model is node.model or (
+                    sim.owned[device_id].model is None)
+                assert device_id not in removed.get(id(sim.world), ())
+            adopted.extend(held)
+
+        monkeypatch.setattr(ShardSim, "apply_exchange", applying)
+        HANDOVER.run()
+        assert adopted

@@ -464,6 +464,25 @@ class TestRouteBox:
             assert grid_indices(partition, x,
                                 math.nextafter(lo_y, -math.inf), halo) != here
 
+    @settings(max_examples=300)
+    @given(case=route_cases(), ulps_x=st.sampled_from([-1, 0, 1]))
+    def test_route_with_box_is_route_and_box(self, case, ulps_x):
+        """A walker's one call answers as the two separate ones, from
+        a cold cache or from spans an earlier point with the same index
+        triples left behind."""
+        partition, x, y, halo = case
+        point = partition.bounds.clamp(Point(_nudge(x, ulps_x), y))
+        x, y = point.x, point.y
+        expected = (*partition.route(x, y, halo),
+                    partition.route_box(x, y, halo))
+        cold = TilePartition(partition.bounds, partition.shards,
+                             (partition.tiles_x, partition.tiles_y),
+                             partition.tile_map)
+        assert cold.route_with_box(x, y, halo) == expected
+        assert partition.route_with_box(x, y, halo) == expected
+        lo_x, hi_x, lo_y, hi_y = expected[3]
+        assert partition.route_with_box(lo_x, hi_y, halo)[3] == expected[3]
+
     def test_map_does_not_move_the_box(self):
         partition = TilePartition(BOUNDS, 2, (4, 4))
         remapped = partition.with_map((1,) * 8 + (0,) * 8)

@@ -17,6 +17,9 @@ from contextlib import contextmanager
 
 import pytest
 
+from repro.apps.access_control import AccessControlledDoor, DoorKeyClient
+from repro.apps.fitness import FitnessDevice, FitnessTracker
+from repro.apps.guidance import GuidancePoint, GuidanceRouter, Traveler
 from repro.eval import ablations, sweeps
 from repro.eval.mscfigures import record_figure
 from repro.eval.table8 import run_peerhood_column
@@ -98,10 +101,63 @@ def _gprs_walkers() -> Testbed:
     return bed
 
 
+def _fitness_workout() -> Testbed:
+    """Exercise equipment that analysed one workout batch."""
+    bed = Testbed(seed=3, technologies=("bluetooth",))
+    bike = bed.add_device("bike", position=Point(100.0, 100.0))
+    FitnessDevice(bike.library, "bike")
+    user = bed.add_device("user", position=Point(101.0, 100.0))
+    tracker = FitnessTracker(user.library)
+    bed.run(30.0)
+    assert bed.execute(tracker.workout("bike", [[100.0, 110.0]]))
+    return bed
+
+
+def _guidance_query() -> Testbed:
+    """Two guidance points, one of which answered a route query."""
+    bed = Testbed(seed=3, technologies=("bluetooth",))
+    router = GuidanceRouter()
+    router.add_place("entrance", Point(100.0, 100.0))
+    router.add_place("lab", Point(104.0, 100.0))
+    router.connect_places("entrance", "lab")
+    for place in ("entrance", "lab"):
+        point = bed.add_device(f"gp-{place}",
+                               position=router.position_of(place))
+        GuidancePoint(point.library, router, place)
+    traveler = bed.add_device("traveler", position=Point(101.0, 100.0))
+    bed.run(30.0)
+    assert bed.execute(Traveler(traveler.library).ask_route("lab"))["ok"]
+    return bed
+
+
+def _door_unlock() -> Testbed:
+    """A door that granted one unlock request."""
+    bed = Testbed(seed=3, technologies=("bluetooth",))
+    door = bed.add_device("door", position=Point(100.0, 100.0))
+    AccessControlledDoor(door.library, "lab", authorized={"alice"})
+    alice = bed.add_device("alice", position=Point(101.0, 100.0))
+    bed.run(30.0)
+    key = DoorKeyClient(alice.library)
+    assert bed.execute(key.request_access("door"))["granted"]
+    return bed
+
+
+def _seamless_supervisor() -> Testbed:
+    """A device whose seamless-connectivity manager kept polling."""
+    bed = Testbed(seed=3, technologies=("bluetooth", "wlan"))
+    device = bed.add_device("a", position=Point(100.0, 100.0))
+    bed.add_device("b", position=Point(101.0, 100.0))
+    device.seamless()
+    bed.run(10.0)
+    return bed
+
+
 class TestClosedWorldIsFreedByRefcount:
     @pytest.mark.parametrize("build", [_table8_room,
                                        _chaotic_wlan_with_op_in_flight,
-                                       _gprs_walkers])
+                                       _gprs_walkers, _fitness_workout,
+                                       _guidance_query, _door_unlock,
+                                       _seamless_supervisor])
     def test_last_reference_frees_the_world(self, build):
         with _collector_off() as garbage:
             bed = build()
